@@ -18,7 +18,7 @@ from . import acceptance
 from . import bounds as bd
 from . import generators as gn
 from . import spectrum as sp
-from .exactlin import format_rational, parse_rational
+from .exactlin import format_rational, json_field, parse_rational
 from .oracle import count_regions_oracle
 from .projective import ProjArrangement, count_regions_projective, dump_arrangement
 from .toric import (
@@ -32,7 +32,7 @@ from .toric import (
 def _load_any(path: str):
     with open(path) as fh:
         data = json.load(fh)
-    kind = data.get("type")
+    kind = json_field(data, "type")
     if kind == "projective":
         return ProjArrangement.from_json(data)
     if kind == "toric":
@@ -48,21 +48,19 @@ def _emit(payload) -> None:
 def cmd_count(args) -> int:
     arr = _load_any(args.file)
     if isinstance(arr, ProjArrangement):
-        if args.engine == "oracle":
-            f = count_regions_oracle(arr)
-        elif args.engine in ("zaslavsky", "auto"):
-            f = count_regions_projective(arr)
-        else:
+        if args.engine == "grid":
             print("engine 'grid' applies to toric arrangements only",
                   file=sys.stderr)
             return 2
+        f = (count_regions_oracle(arr) if args.engine == "oracle"
+             else count_regions_projective(arr))
     else:
-        if args.engine == "grid":
-            f = count_regions_toric_grid(arr, args.refinement)
-        elif args.engine in ("zaslavsky", "auto", "oracle"):
-            f = count_regions_toric(arr)
-        else:
+        if args.engine == "oracle":
+            print("engine 'oracle' applies to projective arrangements only",
+                  file=sys.stderr)
             return 2
+        f = (count_regions_toric_grid(arr, args.refinement) if args.engine == "grid"
+             else count_regions_toric(arr))
     _emit({"f": f})
     return 0
 
@@ -203,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chambers",
         description="Exact region counting for projective hyperplane "
                     "arrangements and toric subtorus arrangements.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (engines currently run single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count regions of an arrangement file")

@@ -32,7 +32,35 @@ class ZeroVectorError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (decimal integers) into an exact Fraction."""
-    return Fraction(text.strip())
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational like \"p/q\", got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def parse_int(value) -> int:
+    """An int from a JSON integer or decimal string; floats and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def parse_int_vector(value) -> Vec:
+    """An integer vector from a JSON list of integers or decimal strings."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of integers, got {value!r}")
+    return tuple(parse_int(x) for x in value)
+
+
+def json_field(data, key: str, kind: type | tuple[type, ...] = object):
+    """data[key], refusing a non-object, a missing key or a value not of `kind`."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing field {key!r}")
+    if not isinstance(data[key], kind):
+        raise ValueError(f"field {key!r} has the wrong type {type(data[key]).__name__}")
+    return data[key]
 
 
 def format_rational(value: Scalar) -> str:

@@ -1,9 +1,10 @@
 """Exact feasibility of homogeneous strict linear systems.
 
-The single primitive here decides, in exact rational arithmetic, whether a
-system  r . x >= 1  (one row r per constraint, x free) has a solution, and
-produces a rational witness when it does.  Because the constraint set is a
-scaled open cone, this is equivalent to deciding  r . x > 0  for all rows.
+The primitive here decides, in exact integer arithmetic, whether a system
+r . x > 0  (one row r per constraint, x free) has a solution, and produces
+a witness when it does.  The solution set is an open cone, so only the
+direction of a witness matters: witnesses are primitive integer vectors,
+and a positive multiple of one is as good as the vector itself.
 
 By Gordan's theorem exactly one of the following holds:
 
@@ -18,21 +19,32 @@ exact witness for (a).
 The tableau is kept as an integer matrix with a shared denominator and
 updated by fraction-free (integer) pivoting, with Bland's rule, so runs are
 exact, terminating, and fast enough to be called tens of thousands of times
-by the enumeration oracles.
+by the enumeration walk.
+
+`walk_sign_vectors` is that walk, shared by the projective sign-vector
+oracle and the toric cube-cell enumeration: a depth-first search over sign
+prefixes that reuses the parent's witness whenever it lies strictly on the
+required side of the next row, and solves a program only when it does not.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .exactlin import Scalar, integerize
+from .exactlin import Scalar, Vec, dot, integerize, primitive_scale
 
 
-def feasible_point(rows: Sequence[Sequence[Scalar]], dim: int) -> tuple[Fraction, ...] | None:
-    """Exact x with r . x >= 1 for every row, or None when no such x exists."""
+class TooLargeError(ValueError):
+    """An exact engine's size guard refuses the instance."""
+
+
+def feasible_point(rows: Sequence[Sequence[Scalar]], dim: int) -> Vec | None:
+    """Primitive integer x with r . x > 0 for every row, or None when none exists.
+
+    With no rows every x qualifies and the zero vector is returned.
+    """
     if not rows:
-        return (Fraction(0),) * dim
+        return (0,) * dim
     ints = [integerize(r) for r in rows]
     k = len(ints)
     m = dim + 1  # equations: sum_j lambda_j * B_j = 0  and  sum_j lambda_j = 1
@@ -89,25 +101,39 @@ def feasible_point(rows: Sequence[Sequence[Scalar]], dim: int) -> tuple[Fraction
         den = piv
         basis[p] = q
 
-    value = Fraction(obj[-1], den)
-    if value == 0:
+    if obj[-1] == 0:
         return None  # Gordan certificate exists: the cone is empty
 
-    # dual of phase one: pi_i = (z - c) on artificial column i, plus its cost 1
-    pi = [Fraction(obj[k + i], den) + 1 for i in range(m)]
-    margin = pi[dim]
-    if margin <= 0:
+    # dual of phase one: pi_i = (obj[k+i] + den) / den, with den > 0; the
+    # witness -pi / pi_dim is a positive multiple of -(obj[k+i] + den)
+    if obj[k + dim] + den <= 0:
         raise RuntimeError("inconsistent phase-one dual")
-    x = [-pi[i] / margin for i in range(dim)]
+    x = [-(obj[k + i] + den) for i in range(dim)]
+    if any(dot(r, x) <= 0 for r in ints):
+        raise RuntimeError("witness verification failed")
+    return primitive_scale(x)
 
-    # verify against the original rows and rescale so every product is >= 1
-    worst = None
-    for r in rows:
-        s = sum(Fraction(a) * b for a, b in zip(r, x))
-        if s <= 0:
-            raise RuntimeError("witness verification failed")
-        if worst is None or s < worst:
-            worst = s
-    if worst < 1:
-        x = [xi / worst for xi in x]
-    return tuple(x)
+
+def walk_sign_vectors(base_rows: Sequence[Vec], witness: Vec, rows: Sequence[Vec],
+                      dim: int) -> Iterator[tuple[tuple[int, ...], Vec]]:
+    """Every feasible strict sign vector of `rows` under the base rows.
+
+    Yields (signs, x) for each s in {+1, -1}^len(rows) such that some x has
+    b . x > 0 for every base row b and s_i * (rows[i] . x) > 0 for every i;
+    x is such a point.  `witness` must satisfy the base rows strictly.  A
+    generator, so callers that only count leaves never hold them all.
+    """
+    stack = [((), tuple(base_rows), witness)]
+    while stack:
+        signs, held, x = stack.pop()
+        depth = len(signs)
+        if depth == len(rows):
+            yield signs, x
+            continue
+        row = rows[depth]
+        val = dot(row, x)
+        for sign in (1, -1):
+            signed = row if sign == 1 else tuple(-a for a in row)
+            child = x if sign * val > 0 else feasible_point(held + (signed,), dim)
+            if child is not None:
+                stack.append((signs + (sign,), held + (signed,), child))

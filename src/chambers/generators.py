@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .exactlin import Vec, cross3, dot, primitive_normalize
+from .exactlin import Vec, cross3, dot, integerize, kernel_basis, primitive_normalize
 from .projective import ProjArrangement, count_regions_projective, validate
 from .toric import Subtorus, ToricArrangement
 
@@ -562,57 +562,26 @@ def three_extra_planes_count(base_count: int, base_n: int,
 def _affine_scan(conditions: list[tuple[Vec, Fraction]]):
     """Rational solutions w2 of the conditions, swept deterministically.
 
-    Solves the (at most 3x3) system by elimination; remaining degrees of
-    freedom are swept over an integer parameter grid.  Solutions are scaled
-    to integer vectors.
+    The solutions of A w = rhs are the kernel vectors of [A | -rhs] with
+    last entry 1, so the system is consistent iff the last column is free.
+    Each free column c of w is set to a parameter by adding param * b_c /
+    b_c[c], where b_c is its kernel vector (c is b_c's last nonzero entry);
+    the first 3 - len(conditions) of them are swept over an integer grid,
+    the rest are 1.  Solutions are scaled to integer vectors.
     """
-    from .exactlin import integerize
-
+    basis = kernel_basis([tuple(a) + (-rhs,) for a, rhs in conditions], 4)
+    basis = [tuple(Fraction(x, [y for y in b if y][-1]) for x in b) for b in basis]
+    if not basis or basis[-1][3] != 1:
+        return  # the last column is a pivot: inconsistent
+    *free, particular = basis
     free_dim = 3 - len(conditions)
-    trials = 400 if free_dim > 0 else 1
-    for trial in range(1, trials + 1):
-        params = [Fraction(trial), Fraction(trial * trial + 1), Fraction(1 - trial)]
-        rows = [[Fraction(r[0][0]), Fraction(r[0][1]), Fraction(r[0][2]), r[1]]
-                for r in conditions]
-        sol = _solve_with_parameters(rows, params[:max(free_dim, 0)])
-        if sol is None:
-            return
-        yield integerize(sol)
-
-
-def _solve_with_parameters(rows: list[list[Fraction]], params: list[Fraction]):
-    """Solve rows * w = rhs for w in Q^3 with trailing frees set to params."""
-    m = [row[:] for row in rows]
-    n_vars = 3
-    pivots = []
-    col = 0
-    r = 0
-    while r < len(m) and col < n_vars:
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        col += 1
-        r += 1
-    for row in m[r:]:
-        if row[-1] != 0:
-            return None  # inconsistent
-    free_cols = [c for c in range(n_vars) if c not in pivots]
-    if len(params) < len(free_cols):
-        params = list(params) + [Fraction(1)] * (len(free_cols) - len(params))
-    w = [Fraction(0)] * n_vars
-    for c, p in zip(free_cols, params):
-        w[c] = p
-    for row, pc in zip(m, pivots):
-        w[pc] = row[-1] - sum(row[c] * w[c] for c in free_cols)
-    return tuple(w)
+    for trial in range(1, (400 if free_dim > 0 else 1) + 1):
+        params = [trial, trial * trial + 1, 1 - trial][:max(free_dim, 0)]
+        params += [1] * (len(free) - len(params))
+        w = particular[:3]
+        for p, b in zip(params, free):
+            w = tuple(wi + p * bi for wi, bi in zip(w, b))
+        yield integerize(w)
 
 
 # ---------------------------------------------------------------------------

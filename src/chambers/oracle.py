@@ -2,33 +2,27 @@
 
 Independent of the poset/Zaslavsky pipeline: a region of the central lift
 is a feasible strict sign vector (sigma_i u_i . x > 0 for all i), decided by
-exact rational linear feasibility with the strict inequalities rescaled to
-">= 1".  Projective regions are antipodal pairs of central ones.
+exact integer linear feasibility with primitive integer witnesses.
+Projective regions are antipodal pairs of central ones.
 
-Enumeration is a depth-first walk over sign prefixes with infeasible
-prefixes pruned; each node carries an exact witness point, and a child only
-pays for a linear program when the parent's witness lands on the wrong side
-of the next hyperplane.
+Enumeration is the shared depth-first walk over sign prefixes
+(`feasibility.walk_sign_vectors`): infeasible prefixes are pruned, each node
+carries a witness point, and a child only pays for a linear program when the
+parent's witness lands on the wrong side of the next hyperplane.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .exactlin import Vec, dot
-from .feasibility import feasible_point
+from .feasibility import TooLargeError, feasible_point, walk_sign_vectors
 from .projective import ProjArrangement, ensure_valid
 
 ENUMERATION_GUARD = 24
 
 
-class TooLargeError(ValueError):
-    """Sign-vector enumeration is guarded to n <= 24 hyperplanes."""
-
-
 def sign_vector_feasible(arr: ProjArrangement, signs: Sequence[int]) -> bool:
-    """True iff some x in Q^(d+1) has sign_i * (u_i . x) >= 1 for all i."""
+    """True iff some x in Z^(d+1) has sign_i * (u_i . x) > 0 for all i."""
     if arr.n > ENUMERATION_GUARD:
         raise TooLargeError(f"n = {arr.n} exceeds the enumeration guard")
     if len(signs) != arr.n:
@@ -48,30 +42,7 @@ def count_regions_oracle(arr: ProjArrangement) -> int:
     ensure_valid(arr)
     if arr.n > ENUMERATION_GUARD:
         raise TooLargeError(f"n = {arr.n} exceeds the enumeration guard")
-    covs = arr.covectors
+    first, *rest = arr.covectors
     dim = arr.d + 1
-    first = covs[0]
     witness = feasible_point([first], dim)
-    assert witness is not None
-    total = 0
-    stack = [(1, (first,), witness)]
-    while stack:
-        depth, rows, x = stack.pop()
-        if depth == len(covs):
-            total += 1
-            continue
-        u = covs[depth]
-        val = dot(u, x)
-        for sign in (1, -1):
-            row = u if sign == 1 else tuple(-a for a in u)
-            v = val if sign == 1 else -val
-            if v >= 1:
-                child = x
-            elif v > 0:
-                child = tuple(xi / v for xi in x)
-            else:
-                child = feasible_point(rows + (row,), dim)
-                if child is None:
-                    continue
-            stack.append((depth + 1, rows + (row,), child))
-    return total
+    return sum(1 for _ in walk_sign_vectors((first,), witness, rest, dim))

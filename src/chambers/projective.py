@@ -32,7 +32,10 @@ from .exactlin import (
     dot,
     echelon_form,
     echelon_insert,
+    json_field,
     kernel_basis,
+    parse_int,
+    parse_int_vector,
     primitive_normalize,
     primitive_scale,
 )
@@ -89,10 +92,10 @@ class ProjArrangement:
 
     @staticmethod
     def from_json(data: dict) -> "ProjArrangement":
-        if data.get("type") != "projective":
+        if json_field(data, "type") != "projective":
             raise ValueError("not a projective arrangement file")
-        covs = tuple(tuple(int(x) for x in u) for u in data["covectors"])
-        return ProjArrangement(int(data["d"]), covs)
+        covs = tuple(parse_int_vector(u) for u in json_field(data, "covectors", list))
+        return ProjArrangement(parse_int(json_field(data, "d")), covs)
 
 
 def validate(arr: ProjArrangement) -> list[str]:

@@ -230,25 +230,7 @@ def search_projective(n: int, d: int, budget: int | None = None,
         raise ValueError("need d >= 2 and n >= d+2")
     rule, cap_val, predicted, member = _projective_rule(n, d, cap)
     report = SpectrumReport("projective", n, d, cap_val, rule)
-    for recipe in projective_recipes(n, d):
-        if recipe.expected_f is None or recipe.expected_f > cap_val:
-            continue
-        if recipe.expected_f in report.found:
-            continue
-        if budget is not None and report.counted >= budget:
-            report.partial = True
-            break
-        try:
-            f = count_recipe(recipe)
-        except gn.PlacementError:
-            continue
-        report.counted += 1
-        report.found[f] = recipe
-    found_values = set(report.found)
-    report.missing_predicted = [v for v in predicted if v not in found_values]
-    report.unexpected = sorted(
-        f for f in found_values if f <= cap_val and not member(f))
-    return report
+    return _fill_report(report, projective_recipes(n, d), budget, predicted, member)
 
 
 def search_toric(n: int, d: int, budget: int | None = None,
@@ -271,8 +253,22 @@ def search_toric(n: int, d: int, budget: int | None = None,
                 continue
             recipes.append(Recipe("toric_b", (n, d, dprime, k), "toric", n, d,
                                   gn.toric_construction_b_count(n, dprime, k)))
+    return _fill_report(report, recipes, budget,
+                        bd.toric_predicted_values(n, d, cap),
+                        lambda f: bd.toric_spectrum_contains(n, d, f))
+
+
+def _fill_report(report: SpectrumReport, recipes, budget: int | None,
+                 predicted: list[int], member) -> SpectrumReport:
+    """Count one witness per distinct predicted value in [1, cap], then compare.
+
+    Recipes without a prediction, predicting outside [1, cap] or predicting
+    an already witnessed value are skipped, as are unrealizable placements.
+    `budget` caps the number of exact counts; hitting it flags the report as
+    partial.
+    """
     for recipe in recipes:
-        if recipe.expected_f > cap or recipe.expected_f < 1:
+        if recipe.expected_f is None or not 1 <= recipe.expected_f <= report.cap:
             continue
         if recipe.expected_f in report.found:
             continue
@@ -285,12 +281,9 @@ def search_toric(n: int, d: int, budget: int | None = None,
             continue
         report.counted += 1
         report.found[f] = recipe
-    found_values = set(report.found)
-    report.missing_predicted = [
-        v for v in bd.toric_predicted_values(n, d, cap) if v not in found_values]
+    report.missing_predicted = [v for v in predicted if v not in report.found]
     report.unexpected = sorted(
-        f for f in found_values
-        if f <= cap and not bd.toric_spectrum_contains(n, d, f))
+        f for f in report.found if f <= report.cap and not member(f))
     return report
 
 

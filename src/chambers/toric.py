@@ -7,9 +7,9 @@ cube [0,1]^d:
 1. lift each subtorus to the finitely many affine hyperplanes a . x = c + t
    that meet the cube;
 2. enumerate the open cells the lifted hyperplanes cut the open cube into
-   (sign-vector feasibility over exact rationals, one strict sign per
-   lifted hyperplane, homogenized so the cube constraints become rows of
-   the same "r . z >= 1" system);
+   (the shared sign-vector walk `feasibility.walk_sign_vectors`, one strict
+   sign per lifted hyperplane, homogenized so the cube constraints become
+   rows of the same strict integer system "r . z > 0");
 3. glue cells across opposite facets: each full-dimensional cell of a
    facet's induced arrangement has one incident cube cell on each side of
    the identification, found by stepping the facet cell's witness point an
@@ -38,16 +38,13 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .exactlin import Scalar, Vec, dot, format_rational, parse_rational, primitive_scale
-from .feasibility import feasible_point
+from .exactlin import (Scalar, Vec, dot, format_rational, integerize, json_field,
+                       parse_int, parse_int_vector, parse_rational, primitive_scale)
+from .feasibility import TooLargeError, walk_sign_vectors
 
 LIFT_GUARD = 24
 DIMENSION_GUARD = 4
 GRID_NODE_GUARD = 2 * 10 ** 7
-
-
-class TooLargeError(ValueError):
-    """Exact toric counting is guarded to d <= 4 and <= 24 lifted planes."""
 
 
 class UnstableError(RuntimeError):
@@ -59,7 +56,8 @@ class Subtorus:
     """Canonical form: primitive normal with positive leading entry, offset in [0,1).
 
     (a, c) and (-a, -c mod 1) describe the same subtorus and normalize to
-    the same representative.
+    the same representative.  A non-primitive normal is refused: with
+    g = gcd(a), {a . x = c} is g parallel subtori, not one.
     """
 
     normal: Vec
@@ -68,6 +66,8 @@ class Subtorus:
     @staticmethod
     def make(normal: Sequence[int], offset: Scalar) -> "Subtorus":
         a = primitive_scale(normal)
+        if a != tuple(normal):
+            raise ValueError(f"normal {tuple(normal)} is not primitive")
         c = Fraction(offset)
         lead = next(x for x in a if x)
         if lead < 0:
@@ -110,11 +110,11 @@ class ToricArrangement:
 
     @staticmethod
     def from_json(data: dict) -> "ToricArrangement":
-        if data.get("type") != "toric":
+        if json_field(data, "type") != "toric":
             raise ValueError("not a toric arrangement file")
-        subs = [(tuple(int(x) for x in s["a"]), parse_rational(s["c"]))
-                for s in data["subtori"]]
-        return ToricArrangement.make(int(data["d"]), subs)
+        subs = [(parse_int_vector(json_field(s, "a")), parse_rational(json_field(s, "c")))
+                for s in json_field(data, "subtori", list)]
+        return ToricArrangement.make(parse_int(json_field(data, "d")), subs)
 
 
 def lift_to_cube(arr: ToricArrangement) -> list[tuple[Vec, Fraction]]:
@@ -137,12 +137,13 @@ def lift_to_cube(arr: ToricArrangement) -> list[tuple[Vec, Fraction]]:
 def _enumerate_cells(dim: int, hyperplanes: Sequence[tuple[Vec, Fraction]]):
     """Open cells of (0,1)^dim cut by affine hyperplanes a . x = b.
 
-    Yields (signs, witness): one strict sign per hyperplane (including those
-    missing the cube, whose sign is constant) and an interior rational
+    Returns (signs, witness) pairs: one strict sign per hyperplane (including
+    those missing the cube, whose sign is constant) and an interior rational
     point.  Feasibility is homogenized over z = (x, w):  sign (a.x - b) > 0
-    becomes (sign*a, -sign*b) . z >= 1, and 0 < x_i < w gives the cube rows.
+    becomes sign * (a, -b) . z > 0 (row scaled to integers), and 0 < x_i < w
+    gives the cube rows.  Each leaf z maps back to the point x = z / w.
     """
-    cube_rows = [tuple([0] * dim + [1])]  # w >= 1 keeps the homogenization proper
+    cube_rows = [tuple([0] * dim + [1])]  # w > 0 keeps the homogenization proper
     for i in range(dim):
         e = [0] * (dim + 1)
         e[i] = 1
@@ -151,33 +152,10 @@ def _enumerate_cells(dim: int, hyperplanes: Sequence[tuple[Vec, Fraction]]):
         f[i] = -1
         f[dim] = 1
         cube_rows.append(tuple(f))
-    root_witness = tuple([Fraction(1)] * dim + [Fraction(2)])
-
-    cells = []
-    stack = [(0, (), tuple(cube_rows), root_witness)]
-    while stack:
-        depth, signs, rows, z = stack.pop()
-        if depth == len(hyperplanes):
-            w = z[dim]
-            point = tuple(zi / w for zi in z[:dim])
-            cells.append((signs, point))
-            continue
-        a, b = hyperplanes[depth]
-        row_plus = tuple(a) + (-b,)
-        val = dot(row_plus, z)
-        for sign in (1, -1):
-            row = row_plus if sign == 1 else tuple(-x for x in row_plus)
-            v = val if sign == 1 else -val
-            if v >= 1:
-                child = z
-            elif v > 0:
-                child = tuple(zi / v for zi in z)
-            else:
-                child = feasible_point(rows + (row,), dim + 1)
-                if child is None:
-                    continue
-            stack.append((depth + 1, signs + (sign,), rows + (row,), child))
-    return cells
+    rows = [integerize(tuple(a) + (-b,)) for a, b in hyperplanes]
+    root = (1,) * dim + (2,)
+    return [(signs, tuple(Fraction(zi, z[dim]) for zi in z[:dim]))
+            for signs, z in walk_sign_vectors(cube_rows, root, rows, dim + 1)]
 
 
 class _UnionFind:

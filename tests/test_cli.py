@@ -57,6 +57,30 @@ class TestCount:
         code, _ = run(capsys, "count", "no-such-file.json")
         assert code == 2
 
+    def test_oracle_engine_rejected_for_toric(self, capsys, toric_file):
+        code, out = run(capsys, "count", "--engine", "oracle", toric_file)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("payload", [
+        {"type": "projective", "d": 2},
+        {"type": "projective", "d": 2, "covectors": "1 0 0"},
+        {"type": "projective", "d": 2.0, "covectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        {"type": "toric", "d": 2},
+        {"type": "toric", "d": 2, "subtori": [{"c": "1/2"}]},
+        {"type": "toric", "d": 2, "subtori": [{"a": "10", "c": "1/2"}]},
+        {"type": "toric", "d": 2, "subtori": [{"a": [1, 0], "c": 0.5}]},
+        ["not", "an", "object"],
+    ])
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = main(["count", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestBounds:
     def test_table_contains_product_bound(self, capsys):

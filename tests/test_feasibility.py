@@ -1,18 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chambers.feasibility import feasible_point
+from chambers.feasibility import feasible_point, walk_sign_vectors
+from chambers.oracle import sign_vector_feasible
+from chambers.projective import ProjArrangement
 
 
 def fourier_motzkin_feasible(rows):
     """Independent oracle: eliminate variables from {r . x > 0} directly.
 
-    Equivalent to the r . x >= 1 form decided by feasible_point because the
-    solution set is a scaled open cone.  Rows must be nonzero.
+    Decides the same strict system as feasible_point.  Rows must be nonzero.
     """
     rows = [tuple(Fraction(a) for a in r) for r in rows]
     while rows and len(rows[0]) > 1:
@@ -31,10 +33,13 @@ def fourier_motzkin_feasible(rows):
 
 
 def decide(rows, dim):
+    """Feasibility, checking that a witness is primitive, integer and strict."""
     x = feasible_point(rows, dim)
     if x is not None:
+        assert all(type(xi) is int for xi in x)
+        assert math.gcd(*x) == 1
         for r in rows:
-            assert sum(Fraction(a) * b for a, b in zip(r, x)) >= 1
+            assert sum(Fraction(a) * b for a, b in zip(r, x)) > 0
     return x is not None
 
 
@@ -87,3 +92,15 @@ def test_randomized_dim4_witnesses_verify():
         rows = [r for r in rows if any(r)]
         if rows:
             decide(rows, 4)
+
+
+def test_walk_matches_sign_vector_feasible():
+    arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
+                              (1, -1, 2)))
+    leaves = dict(walk_sign_vectors((), (0, 0, 0), arr.covectors, 3))
+    for signs in itertools.product((1, -1), repeat=arr.n):
+        assert (signs in leaves) == sign_vector_feasible(arr, signs)
+    for signs, x in leaves.items():
+        assert math.gcd(*x) == 1
+        assert all(s * sum(a * b for a, b in zip(u, x)) > 0
+                   for s, u in zip(signs, arr.covectors))

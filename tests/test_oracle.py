@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chambers import toric
 from chambers.oracle import TooLargeError, count_regions_oracle, sign_vector_feasible
 from chambers.projective import ProjArrangement, count_regions_projective
 
@@ -59,6 +60,9 @@ class TestSignVectorFeasible:
         arr = moment_curve(25, 2)
         with pytest.raises(TooLargeError):
             sign_vector_feasible(arr, (1,) * 25)
+
+    def test_one_too_large_error_for_both_exact_engines(self):
+        assert TooLargeError is toric.TooLargeError
 
 
 class TestCountRegionsOracle:

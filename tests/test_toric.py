@@ -27,9 +27,13 @@ class TestCanonicalization:
         assert s1.offset == Fraction(1, 2)
 
     def test_offset_wraps_into_unit_interval(self):
-        s = Subtorus.make((2, 0), Fraction(7, 3))
+        s = Subtorus.make((1, 0), Fraction(7, 3))
         assert s.normal == (1, 0)
-        assert 0 <= s.offset < 1
+        assert s.offset == Fraction(1, 3)
+
+    def test_non_primitive_normal_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 0\)"):
+            Subtorus.make((2, 0), Fraction(1, 3))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
