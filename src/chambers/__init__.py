@@ -1,8 +1,9 @@
 """Exact region counting for arrangements in projective spaces and flat tori.
 
 The package counts connected components of complements: hyperplane
-arrangements in RP^d through the intersection poset and Zaslavsky's
-theorem, cross-checked by a sign-vector feasibility oracle, and
+arrangements in RP^d by a deletion-restriction sweep, cross-checked by a
+sign-vector feasibility oracle and, in the tests, by the intersection poset
+and Zaslavsky's theorem, and
 codimension-one subtorus arrangements in T^d through a fundamental-domain
 decomposition with facet gluing, cross-checked by a grid heuristic.  All
 arithmetic is exact rational.

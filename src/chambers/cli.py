@@ -2,9 +2,14 @@
 
 Subcommands: count, bounds, spectrum, gen, search, verify-acceptance.
 JSON on stdout is the canonical output (CSV is offered for spectrum search
-tables); diagnostics go to stderr.  Exit codes: 0 success, 1 a violation or
-count mismatch was found, 2 usage error.  All behaviour is driven by flags,
-never by environment variables, so runs are reproducible.
+tables); diagnostics go to stderr.  All behaviour is driven by flags, never
+by environment variables, so runs are reproducible.
+
+Exit codes:
+  0  success;
+  1  a violation or count mismatch was found;
+  2  usage error: a bad flag or input file, or an oversize instance;
+  3  internal error: a failed invariant of an engine (a `RuntimeError`).
 """
 
 from __future__ import annotations
@@ -20,7 +25,12 @@ from . import generators as gn
 from . import spectrum as sp
 from .exactlin import format_rational, json_field, parse_rational
 from .oracle import count_regions_oracle
-from .projective import ProjArrangement, count_regions_projective, dump_arrangement
+from .projective import (
+    ProjArrangement,
+    count_regions_projective,
+    dump_arrangement,
+    load_arrangement,
+)
 from .toric import (
     ToricArrangement,
     count_regions_toric,
@@ -46,6 +56,9 @@ def _emit(payload) -> None:
 
 
 def cmd_count(args) -> int:
+    if args.refinement is not None and args.engine != "grid":
+        print("--refinement applies to engine 'grid' only", file=sys.stderr)
+        return 2
     arr = _load_any(args.file)
     if isinstance(arr, ProjArrangement):
         if args.engine == "grid":
@@ -55,11 +68,12 @@ def cmd_count(args) -> int:
         f = (count_regions_oracle(arr) if args.engine == "oracle"
              else count_regions_projective(arr))
     else:
-        if args.engine == "oracle":
-            print("engine 'oracle' applies to projective arrangements only",
+        if args.engine in ("oracle", "zaslavsky"):
+            print(f"engine '{args.engine}' applies to projective arrangements only",
                   file=sys.stderr)
             return 2
-        f = (count_regions_toric_grid(arr, args.refinement) if args.engine == "grid"
+        refinement = 1 if args.refinement is None else args.refinement
+        f = (count_regions_toric_grid(arr, refinement) if args.engine == "grid"
              else count_regions_toric(arr))
     _emit({"f": f})
     return 0
@@ -103,8 +117,24 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+# Flags each family needs; two-extra needs -n only when --base is not given.
+_FAMILY_FLAGS = {
+    "general-position": ("-n", "-d"),
+    "double-pencil": ("-a", "-b"),
+    "near-pencil": ("-n",),
+    "cone": ("--base",),
+    "two-extra": ("-n",),
+    "toric-a": ("-n", "-d"),
+    "toric-b": ("-n", "-d"),
+}
+
+
 def _build_from_args(args):
     family = args.family
+    needed = () if family == "two-extra" and args.base else _FAMILY_FLAGS.get(family, ())
+    missing = [flag for flag in needed if getattr(args, flag.lstrip("-")) is None]
+    if missing:
+        raise ValueError(f"family {family!r} needs {' and '.join(missing)}")
     if family == "general-position":
         arr = gn.general_position(args.n, args.d)
         expected = gn.general_position_count(args.n, args.d)
@@ -115,7 +145,7 @@ def _build_from_args(args):
         arr = gn.near_pencil(args.n)
         expected = 2 * args.n - 2
     elif family == "cone":
-        base = _load_any(args.base)
+        base = load_arrangement(args.base)
         point = tuple(args.through) if args.through else None
         arr = gn.cone(base, extras=args.extras,
                       placement="through_chosen_flat" if point else "generic",
@@ -124,7 +154,7 @@ def _build_from_args(args):
                                  base_n=base.n)
     elif family == "two-extra":
         base = gn.near_pencil(args.n - 2) if args.base is None \
-            else _load_any(args.base)
+            else load_arrangement(args.base)
         arr = gn.two_extra_planes(base, coincidences=args.coincidences,
                                   line_in_union=args.line_in_union)
         expected = gn.two_extra_planes_count(
@@ -207,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--engine", choices=("auto", "zaslavsky", "oracle", "grid"),
                    default="auto")
-    p.add_argument("--refinement", type=int, default=1)
+    p.add_argument("--refinement", type=int, default=None,
+                   help="grid refinement (engine 'grid' only; default 1)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bounds", help="evaluate the lower-bound table")
@@ -280,9 +311,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

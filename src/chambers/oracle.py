@@ -1,8 +1,9 @@
 """Brute-force region counting by sign-vector enumeration.
 
-Independent of the poset/Zaslavsky pipeline: a region of the central lift
-is a feasible strict sign vector (sigma_i u_i . x > 0 for all i), decided by
-exact integer linear feasibility with primitive integer witnesses.
+Independent of the deletion-restriction sweep and the poset: a region of
+the central lift is a feasible strict sign vector (sigma_i u_i . x > 0 for
+all i), decided by exact integer linear feasibility with primitive integer
+witnesses.
 Projective regions are antipodal pairs of central ones.
 
 Enumeration is the shared depth-first walk over sign prefixes

@@ -5,19 +5,21 @@ covector u cuts out the hyperplane {x : u . x = 0}.  A valid arrangement has
 pairwise distinct hyperplanes and no point common to all of them (the n x
 (d+1) covector matrix has full rank d+1).
 
-Region counting goes through the central lift: the covectors define a
-central arrangement in R^(d+1), Zaslavsky's theorem turns the value of the
-characteristic polynomial at -1 into the number of central regions, and the
-antipodal identification halves it.
+Region counts and m, the largest number of hyperplanes through one point,
+come from one deletion-restriction sweep over the central lift in R^(d+1)
+(Zaslavsky, Mem. AMS 154, 1975; Stanley, *An introduction to hyperplane
+arrangements*, Lecture 2); antipodal identification halves the central count.
 
-The intersection poset is built level by level, closing under intersection
-with single hyperplanes.  A flat is identified by the canonical reduced
-echelon form of the row space spanned by its incident covectors (the
-orthogonal complement of the flat), so flat identity is exact.  Each new
-flat's incident set is the union of (parent incident + extending hyperplane)
-over every generating pair; every coatom of a flat is enumerated as a
-parent, which makes the union exactly the set of hyperplanes containing the
-flat and makes the recorded parents exactly the covers from below.
+The intersection poset is the independent reference the tests compare the
+sweep with, through its characteristic polynomial and Zaslavsky's theorem.
+It is built level by level, closing under intersection with single
+hyperplanes.  A flat is identified by the canonical reduced echelon form of
+the row space spanned by its incident covectors (the orthogonal complement
+of the flat), so flat identity is exact.  Each new flat's incident set is
+the union of (parent incident + extending hyperplane) over every generating
+pair; every coatom of a flat is enumerated as a parent, which makes the
+union exactly the set of hyperplanes containing the flat and makes the
+recorded parents exactly the covers from below.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactlin import (
     Vec,
@@ -252,73 +254,59 @@ def evaluate_poly(coeffs: Sequence[int], t: int) -> int:
 
 
 def count_regions_projective(arr: ProjArrangement) -> int:
-    """Number of open d-cells of RP^d cut out by the arrangement.
-
-    Zaslavsky: the central lift has |chi(-1)| regions; antipodal
-    identification halves that.
-    """
+    """Number of open d-cells of RP^d cut out by the arrangement."""
     ensure_valid(arr)
-    return _count_regions_unchecked(arr)
+    return _sweep(dict.fromkeys(arr.covectors, 1), arr.d + 1)[0] // 2
 
 
-def _count_regions_unchecked(arr: ProjArrangement) -> int:
-    poset = build_intersection_poset(arr)
-    chi = characteristic_polynomial(poset)
-    central = abs(evaluate_poly(chi, -1))
-    if central % 2:
-        raise RuntimeError("central region count is odd; poset is inconsistent")
-    return central // 2
-
-
-@dataclass(frozen=True)
-class MultiplicityReport:
-    m: int
-    witness_flat: Flat
-
-
-def max_point_multiplicity(arr: ProjArrangement) -> MultiplicityReport:
-    """Largest number of hyperplanes through one projective point.
-
-    Maximizes |incident| over flats of subspace dimension >= 1; the witness
-    is the flat of minimal subspace dimension among the maximizers.
-    """
+def max_point_multiplicity(arr: ProjArrangement) -> int:
+    """m: the largest number of hyperplanes through one projective point."""
     ensure_valid(arr)
-    poset = build_intersection_poset(arr)
-    best: Flat | None = None
-    for f in poset.flats:
-        if f.subspace_dim < 1 or f.rank == 0:
-            continue
-        if best is None or len(f.incident) > len(best.incident) or (
-            len(f.incident) == len(best.incident) and f.subspace_dim < best.subspace_dim
-        ):
-            best = f
-    assert best is not None
-    return MultiplicityReport(len(best.incident), best)
+    return _sweep(dict.fromkeys(arr.covectors, 1), arr.d + 1)[1]
 
 
 def restrict_to_flat(arr: ProjArrangement, flat: Flat) -> ProjArrangement:
-    """Induced arrangement on a flat, in coordinates from its kernel basis.
-
-    Hyperplanes containing the flat contribute no trace; coincident traces
-    are merged (the restriction is a set of hyperplanes, not a multiset).
-    """
+    """Induced arrangement on a flat, in coordinates from its kernel basis."""
     if flat.subspace_dim < 2:
         raise FlatTooSmallError(
             f"flat has subspace dimension {flat.subspace_dim}; need >= 2")
-    basis = flat.defining_basis(arr.d + 1)
-    traces: list[Vec] = []
-    seen = set()
-    for i, u in enumerate(arr.covectors):
-        if i in flat.incident:
-            continue
-        w = tuple(dot(u, b) for b in basis)
-        if not any(w):
-            continue
-        w = primitive_normalize(w)
-        if w not in seen:
-            seen.add(w)
-            traces.append(w)
+    traces = _traces(((u, 1) for u in arr.covectors), flat.defining_basis(arr.d + 1))
     return ProjArrangement(flat.subspace_dim - 1, tuple(traces))
+
+
+def _traces(rows: Iterable[tuple[Vec, int]], basis: Sequence[Vec]) -> dict[Vec, int]:
+    """Traces (u . b for b in basis) of weighted covectors u on span(basis).
+
+    Covectors containing the subspace leave no trace; equal traces merge,
+    in order of first appearance, and add their weights.
+    """
+    out: dict[Vec, int] = {}
+    for u, weight in rows:
+        w = tuple(dot(u, b) for b in basis)
+        if any(w):
+            w = primitive_normalize(w)
+            out[w] = out.get(w, 0) + weight
+    return out
+
+
+def _sweep(rows: dict[Vec, int], ambient: int) -> tuple[int, int]:
+    """(central regions, m) of distinct weighted hyperplanes in R^ambient.
+
+    Adding a hyperplane H adds the central regions that the traces of the
+    earlier hyperplanes cut H into.  A heaviest line lies in a last
+    hyperplane H, and each earlier hyperplane through the line leaves a
+    trace on H through it, so m is the most, over H, of H's weight plus the
+    m of its traces.  In R^2, j lines cut 2j regions.
+    """
+    if ambient == 2:
+        return 2 * len(rows) or 1, max(rows.values(), default=0)
+    regions, m = 1, 0
+    items = list(rows.items())
+    for i, (u, weight) in enumerate(items):
+        cut, through = _sweep(_traces(items[:i], kernel_basis([u], ambient)), ambient - 1)
+        regions += cut
+        m = max(m, weight + through)
+    return regions, m
 
 
 # ---------------------------------------------------------------------------

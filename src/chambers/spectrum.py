@@ -306,15 +306,16 @@ def verify_bounds_batch(items) -> list[BoundViolation]:
     """Check every (arrangement, count) pair against all applicable bounds.
 
     Projective arrangements are checked against the homological bound for
-    RP^d and the three multiplicity bounds; toric ones against the
-    homological bound for T^d and spectrum membership.  Violations are
-    returned as data, never raised.
+    RP^d and the three multiplicity bounds, whose m comes from
+    `max_point_multiplicity` (no intersection poset is built); toric ones
+    against the homological bound for T^d and spectrum membership.
+    Violations are returned as data, never raised.
     """
     violations = []
     for idx, (arr, f) in enumerate(items):
         if isinstance(arr, ProjArrangement):
             label = f"projective[{idx}] n={arr.n} d={arr.d}"
-            m = max_point_multiplicity(arr).m
+            m = max_point_multiplicity(arr)
             checks = [
                 ("homological_rp", bd.bound_homological(arr.n, bd.projective_space(arr.d))),
                 ("multiplicity_sum", bd.bound_multiplicity_sum(arr.n, arr.d, m)),

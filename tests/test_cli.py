@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chambers import cli
 from chambers.cli import main
 from chambers.projective import ProjArrangement, dump_arrangement
 from chambers.toric import ToricArrangement, dump_toric
@@ -61,6 +62,38 @@ class TestCount:
         code, out = run(capsys, "count", "--engine", "oracle", toric_file)
         assert code == 2
         assert out == ""
+
+    def test_zaslavsky_engine_rejected_for_toric(self, capsys, toric_file):
+        code = main(["count", "--engine", "zaslavsky", toric_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "projective arrangements only" in captured.err
+
+    @pytest.mark.parametrize("engine", ["auto", "zaslavsky", "oracle"])
+    def test_refinement_needs_grid_engine(self, capsys, triangle_file, toric_file, engine):
+        for path in (triangle_file, toric_file):
+            code = main(["count", "--engine", engine, "--refinement", "2", path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+
+    def test_grid_takes_refinement(self, capsys, toric_file):
+        code, out = run(capsys, "count", "--engine", "grid", "--refinement", "2",
+                        toric_file)
+        assert code == 0
+        assert json.loads(out) == {"f": 7}
+
+    def test_internal_fault_is_not_usage_error(self, capsys, monkeypatch, triangle_file):
+        def broken(arr):
+            raise RuntimeError("invariant failed")
+
+        monkeypatch.setattr(cli, "count_regions_projective", broken)
+        code = main(["count", triangle_file])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal error: invariant failed\n"
 
     @pytest.mark.parametrize("payload", [
         {"type": "projective", "d": 2},
@@ -133,6 +166,30 @@ class TestGen:
         code, out = run(capsys, "gen", "near-pencil", "-n", "6")
         assert code == 0
         assert json.loads(out)["type"] == "projective"
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["general-position"], "-n and -d"),
+        (["general-position", "-n", "8"], "-d"),
+        (["double-pencil", "-a", "3"], "-b"),
+        (["near-pencil"], "-n"),
+        (["cone"], "--base"),
+        (["two-extra"], "-n"),
+        (["toric-a", "-n", "3"], "-d"),
+        (["toric-b", "-d", "2"], "-n"),
+    ])
+    def test_missing_flag_is_usage_error(self, capsys, argv, flag):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: family {argv[0]!r} needs {flag}\n"
+
+    @pytest.mark.parametrize("family", ["cone", "two-extra"])
+    def test_toric_base_is_usage_error(self, capsys, toric_file, family):
+        code = main(["gen", family, "--base", toric_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: not a projective arrangement file\n"
 
     def test_bad_params_exit_2(self, capsys):
         code, _ = run(capsys, "gen", "double-pencil", "-a", "1", "-b", "4")

@@ -2,8 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from chambers import generators as gn
 from chambers import projective as pj
+from chambers.exactlin import primitive_normalize
+from chambers.oracle import count_regions_oracle
 from chambers.projective import (
     FlatTooSmallError,
     ProjArrangement,
@@ -103,13 +108,11 @@ class TestPoset:
             assert joined in keys
 
     def test_cone_apex_has_full_incidence(self):
-        # 4 planes through a point plus one generic: witness with incidence 4
+        # 4 planes through a point plus one generic: m = 4
         base = moment_curve(4, 2)
         covs = tuple(u + (0,) for u in base.covectors) + ((0, 0, 0, 1),)
         arr = ProjArrangement(3, covs)
-        rep = max_point_multiplicity(arr)
-        assert rep.m == 4
-        assert rep.witness_flat.subspace_dim == 1
+        assert max_point_multiplicity(arr) == 4
 
 
 class TestCharacteristicPolynomial:
@@ -166,19 +169,67 @@ class TestRegionCount:
 
 class TestMultiplicity:
     def test_generic_planes(self):
-        assert max_point_multiplicity(moment_curve(6, 3)).m == 3
+        assert max_point_multiplicity(moment_curve(6, 3)) == 3
 
     def test_triangle(self):
-        assert max_point_multiplicity(TRIANGLE).m == 2
+        assert max_point_multiplicity(TRIANGLE) == 2
 
     @pytest.mark.parametrize("n,d", [(n, d) for d in (2, 3, 4) for n in range(d + 1, 11)])
     def test_moment_curve_multiplicity_is_d(self, n, d):
-        assert max_point_multiplicity(moment_curve(n, d)).m == d
+        assert max_point_multiplicity(moment_curve(n, d)) == d
 
     @pytest.mark.parametrize("arr", [TRIANGLE, moment_curve(5, 2), moment_curve(6, 3)])
     def test_bounds_on_m(self, arr):
-        m = max_point_multiplicity(arr).m
+        m = max_point_multiplicity(arr)
         assert arr.d <= m <= arr.n - 1
+
+
+@st.composite
+def valid_arrangements(draw):
+    """Valid arrangements in RP^1..RP^4 with n <= 8 and entries in [-3, 3]."""
+    d = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-3, 3)] * (d + 1)).filter(any)
+    rows = draw(st.lists(row, min_size=d + 1, max_size=8, unique_by=primitive_normalize))
+    arr = ProjArrangement(d, tuple(rows))
+    assume(validate(arr) == [])
+    return arr
+
+
+class TestSweepAgainstReferences:
+    """The sweep's f and m against the intersection poset and the oracle."""
+
+    @staticmethod
+    def check(arr):
+        poset = build_intersection_poset(arr)
+        central = abs(evaluate_poly(characteristic_polynomial(poset), -1))
+        assert central % 2 == 0
+        f = count_regions_projective(arr)
+        assert f == central // 2
+        assert f == count_regions_oracle(arr)
+        m = max_point_multiplicity(arr)
+        assert m == max(len(g.incident) for g in poset.flats if g.subspace_dim == 1)
+        return f, m
+
+    @given(valid_arrangements())
+    @settings(deadline=None, max_examples=150)
+    def test_random_arrangements(self, arr):
+        self.check(arr)
+
+    @pytest.mark.parametrize("arr,f,m", [
+        # cone over a pencil: four planes through a line, whose traces on
+        # each later plane all pass through one point
+        (ProjArrangement(3, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0),
+                             (0, 0, 1, 0), (0, 0, 0, 1))), 16, 5),
+        # every lifted plane's traces pass through the apex
+        (gn.cone(gn.near_pencil(5)), 16, 5),
+        # planes 1 and 2 leave the same trace on plane 0
+        (ProjArrangement(3, ((0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1),
+                             (0, 1, 0, 0), (0, 0, 1, 0))), 12, 4),
+        (gn.near_pencil(6), 10, 5),
+        (ProjArrangement(1, ((1, 0), (0, 1), (1, 1), (1, -1))), 4, 1),
+    ])
+    def test_degenerate_restrictions(self, arr, f, m):
+        assert self.check(arr) == (f, m)
 
 
 class TestRestriction:
