@@ -118,7 +118,8 @@ def bound_multiplicity_sum(n: int, d: int, m: int) -> BoundValue:
     total = Fraction(0)
     for j in range(d // 2 + 1):
         den = comb(m - 2 * j, d - 2 * j)
-        assert den > 0, "binomial domain violated despite m >= d"
+        if den <= 0:
+            raise RuntimeError("binomial domain violated despite m >= d")
         total += Fraction(comb(n, d - 2 * j), den)
     return BoundValue((m - d + 1) * total)
 

@@ -14,7 +14,9 @@ cube [0,1]^d:
    facet's induced arrangement has one incident cube cell on each side of
    the identification, found by stepping the facet cell's witness point an
    infinitesimal along the facet normal (the step is symbolic, so this is
-   exact); union-find over cube cells then counts torus regions.
+   exact; the witness is the walk's integer point z = (x, w), so no
+   rational arithmetic is done per cell); union-find over cube cells then
+   counts torus regions.
 
 A facet contained in a lifted hyperplane lies on the arrangement itself
 and glues nothing.  The closed-cube lift guarantees the induced facet
@@ -134,14 +136,13 @@ def lift_to_cube(arr: ToricArrangement) -> list[tuple[Vec, Fraction]]:
 # exact counter
 
 
-def _enumerate_cells(dim: int, hyperplanes: Sequence[tuple[Vec, Fraction]]):
-    """Open cells of (0,1)^dim cut by affine hyperplanes a . x = b.
+def _enumerate_cells(dim: int, rows: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
+    """Open cells of (0,1)^dim cut by the hyperplanes of the homogenized rows.
 
-    Returns (signs, witness) pairs: one strict sign per hyperplane (including
-    those missing the cube, whose sign is constant) and an interior rational
-    point.  Feasibility is homogenized over z = (x, w):  sign (a.x - b) > 0
-    becomes sign * (a, -b) . z > 0 (row scaled to integers), and 0 < x_i < w
-    gives the cube rows.  Each leaf z maps back to the point x = z / w.
+    Returns (signs, z) pairs: one strict sign per row (including rows whose
+    hyperplane misses the cube, whose sign is constant) and an integer point
+    z = (x, w) with w > 0 whose x / w lies in the cell.  In z the sign of
+    a . x - b is the sign of row . z, and 0 < x_i < w gives the cube rows.
     """
     cube_rows = [tuple([0] * dim + [1])]  # w > 0 keeps the homogenization proper
     for i in range(dim):
@@ -152,10 +153,8 @@ def _enumerate_cells(dim: int, hyperplanes: Sequence[tuple[Vec, Fraction]]):
         f[i] = -1
         f[dim] = 1
         cube_rows.append(tuple(f))
-    rows = [integerize(tuple(a) + (-b,)) for a, b in hyperplanes]
     root = (1,) * dim + (2,)
-    return [(signs, tuple(Fraction(zi, z[dim]) for zi in z[:dim]))
-            for signs, z in walk_sign_vectors(cube_rows, root, rows, dim + 1)]
+    return list(walk_sign_vectors(cube_rows, root, rows, dim + 1))
 
 
 class _UnionFind:
@@ -185,17 +184,16 @@ class TorusRegionDecomposition:
     f: int
 
 
-def _stepped_signs(lifted, point, axis, direction):
-    """Signs at point + eps * direction * e_axis for infinitesimal eps > 0."""
+def _stepped_signs(rows: Sequence[Vec], z: Vec, axis: int, direction: int) -> tuple[int, ...]:
+    """Signs of the homogenized rows at z + eps * direction * e_axis, eps > 0 infinitesimal."""
     signs = []
-    for a, b in lifted:
-        v = dot(a, point) - b
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-        else:
-            s = a[axis] * direction
-            assert s != 0, "witness lies inside a hyperplane parallel to the step"
-            signs.append(1 if s > 0 else -1)
+    for r in rows:
+        v = dot(r, z)
+        if v == 0:
+            v = r[axis] * direction
+            if v == 0:
+                raise RuntimeError("witness lies inside a hyperplane parallel to the step")
+        signs.append(1 if v > 0 else -1)
     return tuple(signs)
 
 
@@ -206,8 +204,9 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
     if len(lifted) > LIFT_GUARD:
         raise TooLargeError(f"{len(lifted)} lifted hyperplanes exceed the guard")
     d = arr.d
+    rows = [integerize(a + (-b,)) for a, b in lifted]  # (a, -b) scaled up to integers
 
-    cells = _enumerate_cells(d, lifted)
+    cells = _enumerate_cells(d, rows)
     index = {signs: i for i, (signs, _) in enumerate(cells)}
     uf = _UnionFind(len(cells))
     glued = 0
@@ -217,19 +216,11 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
     for axis in range(d):
         if (unit[axis], Fraction(0)) in lifted_set:
             continue  # the facet pair lies on the arrangement; nothing glues
-        # induced arrangement on the facet x_axis = 0, coordinates x_j (j != axis)
-        traces = []
-        for a, b in lifted:
-            a_rest = tuple(x for j, x in enumerate(a) if j != axis)
-            traces.append((a_rest, b))
-        facet_cells = _enumerate_cells(d - 1, traces)
-        for _, q in facet_cells:
-            p0 = list(q)
-            p0.insert(axis, Fraction(0))
-            p1 = list(q)
-            p1.insert(axis, Fraction(1))
-            low = _stepped_signs(lifted, tuple(p0), axis, +1)
-            high = _stepped_signs(lifted, tuple(p1), axis, -1)
+        # induced arrangement on the facet x_axis = 0: drop the axis column
+        traces = [r[:axis] + r[axis + 1:] for r in rows]
+        for _, q in _enumerate_cells(d - 1, traces):
+            low = _stepped_signs(rows, q[:axis] + (0,) + q[axis:], axis, +1)
+            high = _stepped_signs(rows, q[:axis] + (q[-1],) + q[axis:], axis, -1)
             uf.union(index[low], index[high])
             glued += 1
     return TorusRegionDecomposition(len(cells), glued, uf.count)
@@ -268,7 +259,8 @@ def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
     blocked = [np.zeros(shape, dtype=bool) for _ in range(d)]
     for s in arr.subtori:
         c_scaled = s.offset * pitch_count
-        assert c_scaled.denominator == 1, "grid pitch must clear offset denominators"
+        if c_scaled.denominator != 1:
+            raise RuntimeError("grid pitch must clear offset denominators")
         phi = sum(a * big_b ** (d - 1 - i) for i, a in enumerate(s.normal))
         const = -int(c_scaled) * scale + phi
         values = np.full(shape, const, dtype=np.int64)

@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chambers.feasibility import feasible_point, walk_sign_vectors
+from chambers.exactlin import cross3, primitive_scale
+from chambers.feasibility import PhaseOneBasis, feasible_point, walk_sign_vectors
 from chambers.oracle import sign_vector_feasible
 from chambers.projective import ProjArrangement
 
@@ -14,7 +16,8 @@ from chambers.projective import ProjArrangement
 def fourier_motzkin_feasible(rows):
     """Independent oracle: eliminate variables from {r . x > 0} directly.
 
-    Decides the same strict system as feasible_point.  Rows must be nonzero.
+    Decides the same strict system as feasible_point; a zero row survives every
+    elimination and makes the answer False.
     """
     rows = [tuple(Fraction(a) for a in r) for r in rows]
     while rows and len(rows[0]) > 1:
@@ -32,9 +35,9 @@ def fourier_motzkin_feasible(rows):
     return all(r[0] > 0 for r in rows) or all(r[0] < 0 for r in rows)
 
 
-def decide(rows, dim):
+def decide(rows, dim, basis=None):
     """Feasibility, checking that a witness is primitive, integer and strict."""
-    x = feasible_point(rows, dim)
+    x = feasible_point(rows, dim, basis)
     if x is not None:
         assert all(type(xi) is int for xi in x)
         assert math.gcd(*x) == 1
@@ -62,6 +65,12 @@ class TestKnownSystems:
     def test_fraction_rows(self):
         assert decide([(Fraction(1, 2), Fraction(-1, 3)), (0, 1)], 2)
 
+    def test_row_length_must_match_dim(self):
+        with pytest.raises(ValueError):
+            feasible_point([(1, 0, 1), (-1, 0, 1)], 2)  # feasible in three variables
+        with pytest.raises(ValueError):
+            feasible_point([(1, 0), (1,)], 2)
+
     def test_degenerate_equality_like(self):
         # x >= 1 and -x >= 1 squeezed through a shared hyperplane
         assert not decide([(1, 0), (-1, 0)], 2)
@@ -84,6 +93,42 @@ class TestAgainstFourierMotzkin:
         assert decide(rows, 3) == fourier_motzkin_feasible(rows)
 
 
+@st.composite
+def prefix_and_system(draw):
+    """A system in dim 2..4 with entries in [-3, 3], zero rows, repeated rows,
+    parallel rows of another length and antiparallel rows, and a prefix length."""
+    dim = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "parallel")) if rows
+                    else st.just("fresh"))
+        if kind == "fresh":
+            rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))))
+        elif kind == "zero":
+            rows.append((0,) * dim)
+        else:
+            r = draw(st.sampled_from(tuple(rows)))
+            if any(r):
+                r = primitive_scale(r)
+            rows.append(tuple(draw(st.sampled_from((1, -1))) * a for a in r))
+    return dim, rows, draw(st.integers(1, len(rows)))
+
+
+class TestWarmStart:
+    @given(prefix_and_system())
+    @settings(deadline=None, max_examples=200)
+    def test_warm_equals_cold(self, case):
+        dim, rows, cut = case
+        basis = PhaseOneBasis(dim)
+        feasible_point(rows[:cut], dim, basis)
+        warm = decide(rows, dim, basis)
+        assert warm == decide(rows, dim) == fourier_motzkin_feasible(rows)
+
+    def test_basis_of_another_dimension_refused(self):
+        with pytest.raises(ValueError):
+            feasible_point([(1, 0, 0)], 3, PhaseOneBasis(2))
+
+
 def test_randomized_dim4_witnesses_verify():
     rng = random.Random(7)
     for _ in range(60):
@@ -104,3 +149,19 @@ def test_walk_matches_sign_vector_feasible():
         assert math.gcd(*x) == 1
         assert all(s * sum(a * b for a, b in zip(u, x)) > 0
                    for s, u in zip(signs, arr.covectors))
+
+
+def test_walk_solves_both_children_below_a_witness_on_the_next_row():
+    base, first = (1, 0, 0), (0, 1, 0)
+    x = feasible_point([base, first], 3)  # the walk's witness after sign +1 on `first`
+    on_x = cross3(x, (0, 0, 1))  # a row through that witness
+    assert sum(a * b for a, b in zip(on_x, x)) == 0
+    rows = (first, on_x, (1, 1, -1), (2, -1, 1), (1, -2, -3))
+    arr = ProjArrangement(2, (base,) + rows)
+    leaves = dict(walk_sign_vectors((base,), base, rows, 3))
+    for signs in itertools.product((1, -1), repeat=len(rows)):
+        assert (signs in leaves) == sign_vector_feasible(arr, (1,) + signs)
+    for signs, x in leaves.items():
+        assert math.gcd(*x) == 1
+        assert all(s * sum(a * b for a, b in zip(u, x)) > 0
+                   for s, u in zip((1,) + signs, arr.covectors))

@@ -106,6 +106,12 @@ class TestExactCounter:
         with pytest.raises(TooLargeError):
             count_regions_toric(arr)
 
+    def test_step_inside_a_parallel_hyperplane_is_an_internal_error(self):
+        # z = (1, 1, 2) is the point (1/2, 1/2) on x_2 = 1/2, homogenized as
+        # (0, 2, -1); stepping along x_1 never leaves that line
+        with pytest.raises(RuntimeError):
+            tc._stepped_signs([(0, 2, -1)], (1, 1, 2), 0, +1)
+
     def test_lift_guard(self):
         arr = make(2, ((25, -1), Fraction(1, 2)))
         with pytest.raises(TooLargeError):
