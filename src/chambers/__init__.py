@@ -5,8 +5,8 @@ arrangements in RP^d by a deletion-restriction sweep, cross-checked by a
 sign-vector feasibility oracle and, in the tests, by the intersection poset
 and Zaslavsky's theorem, and
 codimension-one subtorus arrangements in T^d through a fundamental-domain
-decomposition with facet gluing, cross-checked by a grid heuristic.  All
-arithmetic is exact rational.
+decomposition with facet gluing, cross-checked by a grid heuristic.  The
+engines use exact integer arithmetic below the input boundary.
 """
 
 from .bounds import (

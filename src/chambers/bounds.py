@@ -8,7 +8,7 @@ integer region count f always go through the ceiling, exposed on
   region counts realizable by n hyperplanes in RP^d.
 * `low_counts_3d(n)`: for n >= 50 the full list of 36 realizable counts up
   to 12n-60 for arrangements in RP^3, stored as (slope, intercept) pairs in
-  n so any n is supported and sortedness can be asserted.
+  n so any n is supported and sortedness can be checked.
 * `martinov_subset(n)`: the members of Martinov's plane spectrum up to
   4n-12, i.e. the four smallest counts for n lines in RP^2.
 * `toric_spectrum_contains(n, d, f)`: membership in the predicted spectrum
@@ -34,9 +34,6 @@ class BoundValue:
     @property
     def ceil(self) -> int:
         return math.ceil(self.value)
-
-    def __le__(self, other):
-        return self.value <= other
 
     def holds_for(self, f: int) -> bool:
         return f >= self.ceil
@@ -169,7 +166,8 @@ def first_four_counts(n: int, d: int) -> list[int]:
         (3 * n - 3 * d + 1) * 2 ** (d - 2),
         7 * (n - d) * 2 ** (d - 3),
     ]
-    assert all(a < b for a, b in zip(values, values[1:])), "spectrum not increasing"
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise RuntimeError(f"first four counts not increasing at (n, d) = ({n}, {d})")
     return values
 
 
@@ -195,10 +193,9 @@ def low_counts_3d(n: int) -> list[int]:
     """All 36 realizable counts up to 12n-60 for n >= 50 planes in RP^3."""
     if n < 50:
         raise OutOfTheoremRangeError(f"n = {n} below the validity threshold 50")
-    values = sorted(a * n + b for a, b in LOW_COUNT_FORMS_3D)
-    assert len(set(values)) == 36
-    assert values == [a * n + b for a, b in LOW_COUNT_FORMS_3D], \
-        "form list out of order at this n"
+    values = [a * n + b for a, b in LOW_COUNT_FORMS_3D]
+    if len(values) != 36 or any(a >= b for a, b in zip(values, values[1:])):
+        raise RuntimeError(f"low-count forms are not 36 increasing values at n = {n}")
     return values
 
 

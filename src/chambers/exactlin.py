@@ -1,15 +1,16 @@
-"""Exact rational scalars, integer vectors, and small dense matrices.
+"""Integer vectors and small dense integer matrices, and the rational boundary.
 
-Every geometric module in this package does its arithmetic here.  Rationals
-are `fractions.Fraction` (arbitrary precision, always reduced, positive
-denominator); vectors are tuples of Python ints; matrices are sequences of
-rows whose entries may be ints or Fractions.
+Every geometric module in this package does its arithmetic here.  Vectors
+are tuples of Python ints and matrices are sequences of integer rows.
+Rationals occur only at the input boundary: `parse_rational` reads them,
+`format_rational` prints them, and a caller with a rational row clears its
+denominators before the row comes here.
 
-Elimination is fraction free (integer preserving): rows are cleared to
-integers up front and kept primitive after every combination step, so
-intermediate entries stay small.  Pivoting is deterministic (first nonzero
-entry in row-major order), which makes echelon forms, ranks and kernel bases
-reproducible across runs.
+Elimination is fraction free (Bareiss, Math. Comp. 22, 1968): rows are kept
+primitive after every combination step, so intermediate entries stay small,
+and kernel vectors are solved in integers.  Pivoting is deterministic (first
+nonzero entry in row-major order), which makes echelon forms, ranks and
+kernel bases reproducible across runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
-Scalar = int | Fraction
 
 
 class ZeroVectorError(ValueError):
@@ -63,7 +63,7 @@ def json_field(data, key: str, kind: type | tuple[type, ...] = object):
     return data[key]
 
 
-def format_rational(value: Scalar) -> str:
+def format_rational(value: int | Fraction) -> str:
     """Serialize exactly, as "p/q" with the "/q" omitted when q == 1."""
     q = Fraction(value)
     if q.denominator == 1:
@@ -75,7 +75,7 @@ def format_rational(value: Scalar) -> str:
 # integer vectors
 
 
-def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v))
@@ -118,19 +118,6 @@ def cross3(u: Sequence[int], v: Sequence[int]) -> Vec:
     )
 
 
-def integerize(row: Sequence[Scalar]) -> Vec:
-    """Scale a row of ints/Fractions by a positive constant to integer entries."""
-    denoms = [x.denominator for x in row if isinstance(x, Fraction)]
-    if not denoms:
-        return tuple(int(x) for x in row)
-    m = lcm(*denoms)
-    out = []
-    for x in row:
-        y = x * m
-        out.append(int(y) if isinstance(y, Fraction) else y)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # echelon forms over Q, stored as primitive integer rows
 #
@@ -146,9 +133,9 @@ def _pivot_col(row: Vec) -> int:
     return len(row)
 
 
-def echelon_insert(rows: tuple[Vec, ...], v: Sequence[Scalar]) -> tuple[Vec, ...] | None:
+def echelon_insert(rows: tuple[Vec, ...], v: Sequence[int]) -> tuple[Vec, ...] | None:
     """Insert v into a canonical echelon form; None if v is already in the span."""
-    w = list(integerize(v))
+    w = list(v)
     for r in rows:
         p = _pivot_col(r)
         if w[p]:
@@ -170,7 +157,7 @@ def echelon_insert(rows: tuple[Vec, ...], v: Sequence[Scalar]) -> tuple[Vec, ...
     return tuple(out)
 
 
-def echelon_form(rows: Iterable[Sequence[Scalar]]) -> tuple[Vec, ...]:
+def echelon_form(rows: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
     ech: tuple[Vec, ...] = ()
     for row in rows:
         nxt = echelon_insert(ech, row)
@@ -179,8 +166,8 @@ def echelon_form(rows: Iterable[Sequence[Scalar]]) -> tuple[Vec, ...]:
     return ech
 
 
-def in_rowspace(rows: tuple[Vec, ...], v: Sequence[Scalar]) -> bool:
-    w = list(integerize(v))
+def in_rowspace(rows: tuple[Vec, ...], v: Sequence[int]) -> bool:
+    w = list(v)
     for r in rows:
         p = _pivot_col(r)
         if w[p]:
@@ -189,16 +176,18 @@ def in_rowspace(rows: tuple[Vec, ...], v: Sequence[Scalar]) -> bool:
     return not any(w)
 
 
-def rank(matrix: Sequence[Sequence[Scalar]]) -> int:
+def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Exact rank over Q via fraction-free elimination."""
     return len(echelon_form(matrix))
 
 
-def kernel_basis(matrix: Sequence[Sequence[Scalar]], ncols: int | None = None) -> list[Vec]:
+def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> list[Vec]:
     """Basis of the right null space, as primitive integer vectors.
 
     The basis comes from the reduced echelon form: one vector per free
-    column, in ascending column order, so the result is deterministic.
+    column, in ascending column order, so the result is deterministic.  The
+    vector of free column c has no entry in the other free columns, so its
+    last nonzero entry is in column c.
     """
     rows = [r for r in matrix]
     if ncols is None:
@@ -210,11 +199,13 @@ def kernel_basis(matrix: Sequence[Sequence[Scalar]], ncols: int | None = None) -
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for c in free:
-        x = [Fraction(0)] * ncols
-        x[c] = Fraction(1)
-        # reduced form: each row only involves its pivot and free columns
-        for r, p in zip(ech, pivots):
-            if r[c]:
-                x[p] = Fraction(-r[c], r[p])
-        basis.append(primitive_normalize(integerize(x)))
+        # reduced form: each row only involves its pivot and free columns, so
+        # x[c] = the lcm of the pivots of the rows with r[c] != 0 makes every
+        # x[p] = -r[c] * x[c] / r[p] an integer
+        used = [(r, p) for r, p in zip(ech, pivots) if r[c]]
+        x = [0] * ncols
+        x[c] = lcm(*(r[p] for r, p in used))
+        for r, p in used:
+            x[p] = -r[c] * x[c] // r[p]
+        basis.append(primitive_normalize(x))
     return basis

@@ -47,7 +47,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .exactlin import Scalar, Vec, dot, integerize, primitive_scale
+from .exactlin import Vec, dot, primitive_scale
 
 
 class TooLargeError(ValueError):
@@ -80,10 +80,12 @@ class PhaseOneBasis:
         return other
 
 
-def feasible_point(rows: Sequence[Sequence[Scalar]], dim: int,
+def feasible_point(rows: Sequence[Sequence[int]], dim: int,
                    basis: PhaseOneBasis | None = None) -> Vec | None:
     """Primitive integer x with r . x > 0 for every row, or None when none exists.
 
+    Rows are integer; a row of length other than `dim`, or with an entry whose
+    type is not int, is refused with ValueError.
     With no rows every x qualifies and the zero vector is returned.  A given
     `basis` must be primal feasible for these rows, as any basis left by a
     call on a prefix of them is; it is pivoted in place to the optimum.
@@ -92,6 +94,8 @@ def feasible_point(rows: Sequence[Sequence[Scalar]], dim: int,
     for r in rows:
         if len(r) != dim:
             raise ValueError(f"row {tuple(r)} does not have length {dim}")
+    if not all(type(a) is int for r in rows for a in r):
+        raise ValueError("rows must have int entries; clear denominators first")
     if not rows:
         return (0,) * dim
     m = dim + 1
@@ -99,11 +103,7 @@ def feasible_point(rows: Sequence[Sequence[Scalar]], dim: int,
         basis = PhaseOneBasis(dim)
     elif len(basis.ids) != m:
         raise ValueError(f"basis is for {len(basis.ids) - 1} variables, not {dim}")
-    if all(type(a) is int for r in rows for a in r):  # the walk's rows; skips a copy
-        ints = rows
-    else:
-        ints = [integerize(r) for r in rows]
-    cols = [(*r, 1) for r in ints]
+    cols = [(*r, 1) for r in rows]
     k = len(cols)
     ids, inv, rhs = basis.ids, basis.inv, basis.rhs
 
@@ -155,7 +155,7 @@ def feasible_point(rows: Sequence[Sequence[Scalar]], dim: int,
     if y[dim] <= 0:
         raise RuntimeError("inconsistent phase-one dual")
     x = [-v for v in y[:dim]]
-    if any(sum(map(mul, r, x)) <= 0 for r in ints):
+    if any(sum(map(mul, r, x)) <= 0 for r in rows):
         raise RuntimeError("witness verification failed")
     return primitive_scale(x)
 

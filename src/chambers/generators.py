@@ -32,10 +32,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .exactlin import Vec, cross3, dot, integerize, kernel_basis, primitive_normalize
+from .exactlin import Vec, cross3, dot, kernel_basis, primitive_normalize, primitive_scale
 from .projective import ProjArrangement, count_regions_projective, validate
 from .toric import Subtorus, ToricArrangement
 
@@ -494,15 +494,15 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
     if len(pool) < s2 + (1 if s23 else 0):
         raise PlacementError("anchor pool exhausted")
 
-    conditions: list[tuple[Vec, Fraction]] = []  # rows: w2 . row = rhs
+    conditions: list[tuple[Vec, int]] = []  # rows: w2 . row = rhs
     taken = 0
     if s2:
-        conditions.append((pool[0], Fraction(0)))
+        conditions.append((pool[0], 0))
         taken = 1
     z1 = None
     if s23 >= 1:
         z1 = pool[taken]
-        conditions.append((z1, Fraction(dot(w3, z1))))
+        conditions.append((z1, dot(w3, z1)))
     if s23 == 2:
         # second difference anchor on a crossing of w3 with a base line; the
         # difference condition is then homogeneous in w2 since w3 . z2 = 0
@@ -521,7 +521,7 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
                 break
         if z2 is None:
             raise PlacementError("no admissible crossing of w3 for the second anchor")
-        conditions.append((z2, Fraction(0)))
+        conditions.append((z2, 0))
 
     for w2 in _affine_scan(conditions):
         if not any(w2):
@@ -559,29 +559,32 @@ def three_extra_planes_count(base_count: int, base_n: int,
     return 4 * base_count + 3 * base_n + 1 - s2 - s3 - s23
 
 
-def _affine_scan(conditions: list[tuple[Vec, Fraction]]):
-    """Rational solutions w2 of the conditions, swept deterministically.
+def _affine_scan(conditions: list[tuple[Vec, int]]):
+    """Integer solutions w2 of the conditions up to scale, swept deterministically.
 
-    The solutions of A w = rhs are the kernel vectors of [A | -rhs] with
-    last entry 1, so the system is consistent iff the last column is free.
-    Each free column c of w is set to a parameter by adding param * b_c /
-    b_c[c], where b_c is its kernel vector (c is b_c's last nonzero entry);
-    the first 3 - len(conditions) of them are swept over an integer grid,
-    the rest are 1.  Solutions are scaled to integer vectors.
+    A w = rhs iff (w, 1) is in the kernel of [A | -rhs], so the system is
+    consistent iff the last column is free.  The kernel vector b_c of free
+    column c has its last nonzero entry in column c; every b_c is scaled so
+    that this entry is the same positive L.  Free column c of w is set to a
+    parameter by adding param * b_c; the first 3 - len(conditions)
+    parameters are swept over an integer grid, the rest are 1.  Each yielded
+    w is the first three entries of the primitive form of (w, L), so
+    a . w = s * rhs for one s > 0 shared by every condition (a, rhs).
     """
     basis = kernel_basis([tuple(a) + (-rhs,) for a, rhs in conditions], 4)
-    basis = [tuple(Fraction(x, [y for y in b if y][-1]) for x in b) for b in basis]
-    if not basis or basis[-1][3] != 1:
+    if not basis or not basis[-1][3]:
         return  # the last column is a pivot: inconsistent
-    *free, particular = basis
+    lasts = [[y for y in b if y][-1] for b in basis]
+    scale = lcm(*lasts)
+    *free, particular = [tuple(x * (scale // last) for x in b) for b, last in zip(basis, lasts)]
     free_dim = 3 - len(conditions)
     for trial in range(1, (400 if free_dim > 0 else 1) + 1):
         params = [trial, trial * trial + 1, 1 - trial][:max(free_dim, 0)]
         params += [1] * (len(free) - len(params))
-        w = particular[:3]
+        w = particular
         for p, b in zip(params, free):
             w = tuple(wi + p * bi for wi, bi in zip(w, b))
-        yield integerize(w)
+        yield primitive_scale(w)[:3]
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .exactlin import (Scalar, Vec, dot, format_rational, integerize, json_field,
-                       parse_int, parse_int_vector, parse_rational, primitive_scale)
+from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
+                       parse_rational, primitive_scale)
 from .feasibility import TooLargeError, walk_sign_vectors
 
 LIFT_GUARD = 24
@@ -66,7 +66,7 @@ class Subtorus:
     offset: Fraction
 
     @staticmethod
-    def make(normal: Sequence[int], offset: Scalar) -> "Subtorus":
+    def make(normal: Sequence[int], offset: int | Fraction) -> "Subtorus":
         a = primitive_scale(normal)
         if a != tuple(normal):
             raise ValueError(f"normal {tuple(normal)} is not primitive")
@@ -103,7 +103,7 @@ class ToricArrangement:
         return len(self.subtori)
 
     @staticmethod
-    def make(d: int, subtori: Iterable[tuple[Sequence[int], Scalar]]) -> "ToricArrangement":
+    def make(d: int, subtori: Iterable[tuple[Sequence[int], int | Fraction]]) -> "ToricArrangement":
         return ToricArrangement(d, tuple(Subtorus.make(a, c) for a, c in subtori))
 
     def to_json(self) -> dict:
@@ -204,7 +204,7 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
     if len(lifted) > LIFT_GUARD:
         raise TooLargeError(f"{len(lifted)} lifted hyperplanes exceed the guard")
     d = arr.d
-    rows = [integerize(a + (-b,)) for a, b in lifted]  # (a, -b) scaled up to integers
+    rows = [(*(x * b.denominator for x in a), -b.numerator) for a, b in lifted]  # (a, -b) * den
 
     cells = _enumerate_cells(d, rows)
     index = {signs: i for i, (signs, _) in enumerate(cells)}
@@ -214,7 +214,7 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
     unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
     lifted_set = set(lifted)
     for axis in range(d):
-        if (unit[axis], Fraction(0)) in lifted_set:
+        if (unit[axis], 0) in lifted_set:
             continue  # the facet pair lies on the arrangement; nothing glues
         # induced arrangement on the facet x_axis = 0: drop the axis column
         traces = [r[:axis] + r[axis + 1:] for r in rows]

@@ -140,6 +140,15 @@ class TestLowCounts3d:
         values = bd.low_counts_3d(50)
         assert values[:4] == bd.first_four_counts(50, 3)
 
+    @pytest.mark.parametrize("forms", [
+        bd.LOW_COUNT_FORMS_3D[1::-1] + bd.LOW_COUNT_FORMS_3D[2:],  # first two swapped
+        bd.LOW_COUNT_FORMS_3D[:1] + bd.LOW_COUNT_FORMS_3D[:-1],  # first one duplicated
+    ], ids=["swapped", "duplicated"])
+    def test_broken_form_table_is_an_internal_error(self, monkeypatch, forms):
+        monkeypatch.setattr(bd, "LOW_COUNT_FORMS_3D", forms)
+        with pytest.raises(RuntimeError):
+            bd.low_counts_3d(50)
+
 
 class TestMartinovSubset:
     def test_n10(self):

@@ -62,8 +62,11 @@ class TestKnownSystems:
     def test_empty_system(self):
         assert feasible_point([], 3) == (0, 0, 0)
 
-    def test_fraction_rows(self):
-        assert decide([(Fraction(1, 2), Fraction(-1, 3)), (0, 1)], 2)
+    def test_fraction_rows_refused(self):
+        with pytest.raises(ValueError):
+            feasible_point([(Fraction(1, 2), Fraction(-1, 3)), (0, 1)], 2)
+        with pytest.raises(ValueError):
+            feasible_point([(3, -2), (Fraction(0), 1)], 2)
 
     def test_row_length_must_match_dim(self):
         with pytest.raises(ValueError):

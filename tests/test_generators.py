@@ -1,8 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chambers import generators as gn
+from chambers.exactlin import dot, rank
 from chambers.oracle import count_regions_oracle
 from chambers.projective import count_regions_projective, max_point_multiplicity, validate
 from chambers.toric import count_regions_toric
@@ -166,6 +170,25 @@ class TestThreeExtraPlanes:
         base = gn.near_pencil(8)
         arr = gn.three_extra_planes(base, 0, 0, 0)
         assert max_point_multiplicity(arr) == 8
+
+
+@given(st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * 3), st.integers(-6, 6)),
+                max_size=3))
+@settings(deadline=None, max_examples=300)
+def test_affine_scan_solves_up_to_one_positive_scale(conditions):
+    solutions = list(itertools.islice(gn._affine_scan(conditions), 25))
+    consistent = rank([a for a, _ in conditions]) == rank([a + (r,) for a, r in conditions])
+    assert bool(solutions) == consistent
+    for w in solutions:
+        scales = set()
+        for a, rhs in conditions:
+            lhs = dot(a, w)
+            if rhs:
+                assert lhs % rhs == 0
+                scales.add(lhs // rhs)
+            else:
+                assert lhs == 0
+        assert len(scales) <= 1 and all(s > 0 for s in scales)
 
 
 class TestToricConstructionA:
