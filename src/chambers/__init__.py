@@ -3,10 +3,10 @@
 The package counts connected components of complements: hyperplane
 arrangements in RP^d by a deletion-restriction sweep, cross-checked by a
 sign-vector feasibility oracle and, in the tests, by the intersection poset
-and Zaslavsky's theorem, and
-codimension-one subtorus arrangements in T^d through a fundamental-domain
-decomposition with facet gluing, cross-checked by a grid heuristic.  The
-engines use exact integer arithmetic below the input boundary.
+and Zaslavsky's theorem, and codimension-one subtorus arrangements in T^d
+by a deletion-restriction sweep of the same shape, cross-checked by a
+fundamental-domain decomposition with facet gluing.  The engines use exact
+integer arithmetic below the input boundary.
 """
 
 from .bounds import (
@@ -54,7 +54,6 @@ from .toric import (
     Subtorus,
     ToricArrangement,
     count_regions_toric,
-    count_regions_toric_grid,
     lift_to_cube,
 )
 
@@ -79,7 +78,6 @@ __all__ = [
     "count_regions_oracle",
     "count_regions_projective",
     "count_regions_toric",
-    "count_regions_toric_grid",
     "double_pencil",
     "first_four_counts",
     "general_position",

@@ -14,11 +14,13 @@ Criteria (all required unless marked stretch):
 3. the 36-value low spectrum at n = 50 in RP^3: required values realized,
    nothing unexpected below 12n-60, full list as stretch;
 4. toric construction counts against their closed forms, cross-checked by
-   the grid oracle at a stable refinement;
-5. the complete low toric spectrum at d = 2, n in {4, 5} up to cap 12;
+   the cube engine (`torus_decomposition`);
+5. the complete low toric spectrum at d = 2, n in {4, 5} up to cap 12, each
+   witness cross-checked by the cube engine;
 6. zero violations of the four lower bounds over the whole registry;
 7. sharpness: the homological bound met with equality by the parallel
-   toric family, McMullen's bound by iterated cones over near-pencils;
+   toric family (each count cross-checked by the cube engine), McMullen's
+   bound by iterated cones over near-pencils;
 8. Martinov's plane values from double pencils, verified by both engines.
 """
 
@@ -32,7 +34,7 @@ from . import generators as gn
 from . import spectrum as sp
 from .oracle import count_regions_oracle
 from .projective import count_regions_projective
-from .toric import UnstableError, count_regions_toric, count_regions_toric_grid
+from .toric import count_regions_toric, torus_decomposition
 
 DEFAULT_SEED = 0
 RANDOM_COUNT = 200
@@ -171,15 +173,6 @@ def criterion_3_low_spectrum_3d(registry) -> tuple[CriterionResult, CriterionRes
     return required, stretch
 
 
-def _stable_grid_count(arr, max_refinement=3) -> int:
-    for r in range(1, max_refinement + 1):
-        try:
-            return count_regions_toric_grid(arr, r)
-        except UnstableError:
-            continue
-    raise UnstableError("grid count failed to stabilize")
-
-
 def criterion_4_toric_constructions(registry) -> CriterionResult:
     start = time.time()
     problems = []
@@ -193,8 +186,8 @@ def criterion_4_toric_constructions(registry) -> CriterionResult:
                 checked += 1
                 if f != n - k:
                     problems.append(f"a(n={n},d={d},k={k}) counted {f} != {n - k}")
-                elif _stable_grid_count(arr) != f:
-                    problems.append(f"a(n={n},d={d},k={k}): grid disagrees")
+                elif torus_decomposition(arr).f != f:
+                    problems.append(f"a(n={n},d={d},k={k}): cube engine disagrees")
         for k in range(6):
             for n in range(d, 9):
                 if n == d and k == 0:
@@ -206,9 +199,9 @@ def criterion_4_toric_constructions(registry) -> CriterionResult:
                 checked += 1
                 if f != expected:
                     problems.append(f"b(n={n},d={d},k={k}) counted {f} != {expected}")
-                elif _stable_grid_count(arr) != f:
-                    problems.append(f"b(n={n},d={d},k={k}): grid disagrees")
-    detail = f"{checked} construction counts match closed forms and the grid"
+                elif torus_decomposition(arr).f != f:
+                    problems.append(f"b(n={n},d={d},k={k}): cube engine disagrees")
+    detail = f"{checked} construction counts match closed forms and the cube engine"
     if problems:
         detail = "; ".join(problems[:4])
     return CriterionResult(4, "toric-construction-counts", True, not problems,
@@ -221,12 +214,16 @@ def criterion_5_toric_plane_spectrum(registry) -> CriterionResult:
     for n in (4, 5):
         report = sp.search_toric(n, 2, cap=12)
         for f, recipe in report.found.items():
-            registry.append((sp.build_recipe(recipe), f))
+            arr = sp.build_recipe(recipe)
+            registry.append((arr, f))
+            if torus_decomposition(arr).f != f:
+                problems.append(f"n={n}: {recipe.describe()}: cube engine disagrees")
         if report.missing_predicted:
             problems.append(f"n={n}: missing {report.missing_predicted}")
         if report.unexpected:
             problems.append(f"n={n}: unexpected {report.unexpected}")
-    detail = "every predicted value up to 12 witnessed, none outside the spectrum"
+    detail = ("every predicted value up to 12 witnessed and agreed by the cube "
+              "engine, none outside the spectrum")
     if problems:
         detail = "; ".join(problems)
     return CriterionResult(5, "toric-plane-spectrum", True, not problems,
@@ -254,6 +251,8 @@ def criterion_7_sharpness(registry) -> CriterionResult:
             bound = bd.bound_homological(n, bd.torus(d))
             if f != n - d + 1 or f != bound.ceil:
                 problems.append(f"a(n={n},d={d}) f={f} vs bound {bound.ceil}")
+            elif torus_decomposition(arr).f != f:
+                problems.append(f"a(n={n},d={d}): cube engine disagrees")
     for q in (5, 6, 8):
         arr = gn.near_pencil(q)
         f = count_regions_projective(arr)

@@ -33,8 +33,8 @@ from .projective import (
 from .toric import (
     ToricArrangement,
     count_regions_toric,
-    count_regions_toric_grid,
     dump_toric,
+    torus_decomposition,
 )
 
 
@@ -55,14 +55,10 @@ def _emit(payload) -> None:
 
 
 def cmd_count(args) -> int:
-    if args.refinement is not None and args.engine != "grid":
-        print("--refinement applies to engine 'grid' only", file=sys.stderr)
-        return 2
     arr = _load_any(args.file)
     if isinstance(arr, ProjArrangement):
-        if args.engine == "grid":
-            print("engine 'grid' applies to toric arrangements only",
-                  file=sys.stderr)
+        if args.engine == "cube":
+            print("engine 'cube' applies to toric arrangements only", file=sys.stderr)
             return 2
         f = (count_regions_oracle(arr) if args.engine == "oracle"
              else count_regions_projective(arr))
@@ -71,8 +67,7 @@ def cmd_count(args) -> int:
             print(f"engine '{args.engine}' applies to projective arrangements only",
                   file=sys.stderr)
             return 2
-        refinement = 1 if args.refinement is None else args.refinement
-        f = (count_regions_toric_grid(arr, refinement) if args.engine == "grid"
+        f = (torus_decomposition(arr).f if args.engine == "cube"
              else count_regions_toric(arr))
     _emit({"f": f})
     return 0
@@ -234,10 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count regions of an arrangement file")
     p.add_argument("file")
-    p.add_argument("--engine", choices=("auto", "zaslavsky", "oracle", "grid"),
+    p.add_argument("--engine", choices=("auto", "zaslavsky", "oracle", "cube"),
                    default="auto")
-    p.add_argument("--refinement", type=int, default=None,
-                   help="grid refinement (engine 'grid' only; default 1)")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("bounds", help="evaluate the lower-bound table")

@@ -42,17 +42,46 @@ class TestCount:
         assert code == 0
         assert json.loads(out) == {"f": 4}
 
-    def test_toric_exact_and_grid(self, capsys, toric_file):
+    def test_toric_exact_and_cube(self, capsys, toric_file):
         code, out = run(capsys, "count", toric_file)
         assert code == 0
         assert json.loads(out) == {"f": 7}
-        code, out = run(capsys, "count", "--engine", "grid", toric_file)
+        code, out = run(capsys, "count", "--engine", "cube", toric_file)
         assert code == 0
         assert json.loads(out) == {"f": 7}
 
-    def test_grid_engine_rejected_for_projective(self, capsys, triangle_file):
-        code, _ = run(capsys, "count", "--engine", "grid", triangle_file)
+    def test_cube_engine_rejected_for_projective(self, capsys, triangle_file):
+        code, out = run(capsys, "count", "--engine", "cube", triangle_file)
         assert code == 2
+        assert out == ""
+
+    def test_toric_past_the_cube_guards(self, capsys, tmp_path):
+        path = tmp_path / "t5.json"
+        dump_toric(toric_construction_b(20, 5, 2), str(path))
+        code, out = run(capsys, "count", str(path))
+        assert code == 0
+        assert json.loads(out) == {"f": 32}
+        code = main(["count", "--engine", "cube", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+
+    def test_oversize_toric_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        dump_toric(ToricArrangement.make(2, [((1, 10 ** 6), 0), ((1, -10 ** 6), 0)]),
+                   str(path))
+        code = main(["count", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--refinement", "2"], ["--engine", "grid"]])
+    def test_grid_options_are_gone(self, capsys, toric_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", *argv, toric_file])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "count", "no-such-file.json")
@@ -69,20 +98,6 @@ class TestCount:
         assert code == 2
         assert captured.out == ""
         assert "projective arrangements only" in captured.err
-
-    @pytest.mark.parametrize("engine", ["auto", "zaslavsky", "oracle"])
-    def test_refinement_needs_grid_engine(self, capsys, triangle_file, toric_file, engine):
-        for path in (triangle_file, toric_file):
-            code = main(["count", "--engine", engine, "--refinement", "2", path])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-
-    def test_grid_takes_refinement(self, capsys, toric_file):
-        code, out = run(capsys, "count", "--engine", "grid", "--refinement", "2",
-                        toric_file)
-        assert code == 0
-        assert json.loads(out) == {"f": 7}
 
     def test_internal_fault_is_not_usage_error(self, capsys, monkeypatch, triangle_file):
         def broken(arr):

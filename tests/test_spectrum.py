@@ -56,6 +56,12 @@ class TestSearchToric:
         assert set(range(4, 11)) <= set(rep.found)
         assert rep.unexpected == []
 
+    def test_d5_n7_past_the_cube_guards(self):
+        rep = sp.search_toric(7, 5, cap=14)
+        assert rep.found
+        assert rep.missing_predicted == []
+        assert rep.unexpected == []
+
     def test_small_n_all_counts(self):
         rep = sp.search_toric(3, 3, cap=6)
         assert sorted(rep.found) == [1, 2, 3, 4, 5, 6]

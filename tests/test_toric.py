@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chambers import toric as tc
+from chambers.exactlin import dot, primitive_scale
+from chambers.generators import toric_construction_b
 from chambers.toric import (
     Subtorus,
     TooLargeError,
@@ -85,6 +89,7 @@ class TestExactCounter:
     def test_two_transverse_geodesics(self):
         # x2 = 0 and x2 = 4 x1 + 1/2 meet in 4 points: 4 regions
         arr = make(2, ((0, 1), 0), ((-4, 1), Fraction(1, 2)))
+        assert len(tc._traces(arr.subtori[1], arr.subtori[:1], [tc.SWEEP_GUARD])) == 4
         assert count_regions_toric(arr) == 4
 
     def test_three_coordinate_subtori_in_t3(self):
@@ -104,7 +109,7 @@ class TestExactCounter:
     def test_dimension_guard(self):
         arr = make(5, ((1, 0, 0, 0, 0), Fraction(1, 2)))
         with pytest.raises(TooLargeError):
-            count_regions_toric(arr)
+            torus_decomposition(arr)
 
     def test_step_inside_a_parallel_hyperplane_is_an_internal_error(self):
         # z = (1, 1, 2) is the point (1/2, 1/2) on x_2 = 1/2, homogenized as
@@ -115,7 +120,74 @@ class TestExactCounter:
     def test_lift_guard(self):
         arr = make(2, ((25, -1), Fraction(1, 2)))
         with pytest.raises(TooLargeError):
+            torus_decomposition(arr)
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+@st.composite
+def toric_arrangements(draw):
+    d = draw(st.integers(1, 4))
+    subtori = {}
+    for _ in range(draw(st.integers(1, 5))):
+        a = primitive_scale(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+                                 .filter(any)))
+        subtori[Subtorus.make(a, Fraction(draw(st.integers(0, 3)), 4))] = None
+    return ToricArrangement(d, tuple(subtori))
+
+
+class TestSweep:
+    @settings(deadline=None, max_examples=75)
+    @given(toric_arrangements())
+    def test_agrees_with_cube_engine(self, arr):
+        try:
+            expected = torus_decomposition(arr).f
+        except TooLargeError:
+            assume(False)
+        assert count_regions_toric(arr) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any))
+    def test_unimodular_basis(self, entries):
+        a = primitive_scale(entries)
+        basis = tc._unimodular_basis(a)
+        assert [dot(a, v) for v in basis] == [1] + [0] * (len(a) - 1)
+        assert abs(_det(basis)) == 1
+
+    def test_grid_defect_example(self):
+        # the grid's stable answer here is 22
+        arr = make(2, ((1, -2), 0), ((1, 1), Fraction(3, 4)), ((1, -1), 0),
+                   ((1, -2), Fraction(3, 4)), ((1, 2), 0))
+        assert count_regions_toric(arr) == torus_decomposition(arr).f == 20
+
+    @pytest.mark.parametrize("n,d,k", [(20, 5, 2), (30, 6, 4), (40, 3, 9)])
+    def test_construction_b_past_the_cube_guards(self, n, d, k):
+        arr = toric_construction_b(n, d, k)
+        with pytest.raises(TooLargeError):
+            torus_decomposition(arr)
+        assert count_regions_toric(arr) == 2 * (n - d) + k
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_points_on_a_circle(self, n):
+        assert count_regions_toric(make(1, *(((1,), Fraction(j, n)) for j in range(n)))) == n
+
+    def test_counts_past_the_dimension_guard(self):
+        arr = make(5, ((1, 0, 0, 0, 0), Fraction(1, 2)))
+        assert count_regions_toric(arr) == 1
+
+    def test_guard_refuses_before_making_traces(self, monkeypatch):
+        # the two circles meet in 2 * 10^6 points
+        arr = make(2, ((1, 10 ** 6), 0), ((1, -10 ** 6), 0))
+        made = []
+        monkeypatch.setattr(Subtorus, "make", staticmethod(lambda a, c: made.append(a)))
+        with pytest.raises(TooLargeError):
             count_regions_toric(arr)
+        assert made == []
 
 
 class TestGridCounter:
