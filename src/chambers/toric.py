@@ -43,7 +43,9 @@ uniform grid, joins axis neighbours not separated by a subtorus, and
 reports the component count once two successive refinements agree.  Its
 stable answer can be wrong: on the T^2 circles {(1,-2), 0}, {(1,1), 3/4},
 {(1,-1), 0}, {(1,-2), 3/4}, {(1,2), 0} it gives 22, and the exact count is
-20.
+20.  The grid is the only code in the package that loads numpy and scipy,
+and it loads them on its first call, so importing `chambers` and every
+other engine run without them.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
                        parse_rational, primitive_scale)
@@ -330,6 +328,15 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
 
 
 def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
+    """Connected components of the shifted grid of pitch 1/pitch_count.
+
+    numpy and scipy are imported here, their only use in the package, so a
+    process pays for loading them on its first grid call and not before.
+    """
+    import numpy as np
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     d = arr.d
     big_b = 2 + sum(sum(abs(a) for a in s.normal) for s in arr.subtori)
     scale = 2 * big_b ** d  # shift s_i = 1 / (2 B^i) in pitch units

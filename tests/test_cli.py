@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +241,48 @@ class TestVerifyAcceptance:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS criterion 5" in out
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+COUNT_IN_FRESH_PROCESS = """
+import contextlib, io, json, sys
+import chambers
+from chambers import cli
+proj, tor = sys.argv[1:]
+counts = []
+for argv in (["count", proj], ["count", "--engine", "oracle", proj],
+             ["count", tor], ["count", "--engine", "cube", tor]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    counts.append([code, json.loads(out.getvalue())["f"]])
+print(json.dumps([counts, sorted(m for m in ("numpy", "scipy") if m in sys.modules)]))
+"""
+
+GRID_IN_FRESH_PROCESS = """
+import json, sys
+from chambers.toric import ToricArrangement, count_regions_toric_grid
+assert count_regions_toric_grid(ToricArrangement.make(2, [((1, 0), 0)])) == 1
+print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
+"""
+
+
+def fresh_python(script, *argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestColdStart:
+    """Only the grid heuristic loads numpy and scipy; no CLI count does."""
+
+    def test_counts_load_neither_numpy_nor_scipy(self, triangle_file, toric_file):
+        counts, loaded = fresh_python(COUNT_IN_FRESH_PROCESS, triangle_file, toric_file)
+        assert counts == [[0, 4], [0, 4], [0, 7], [0, 7]]
+        assert loaded == []
+
+    def test_the_grid_loads_both(self):
+        assert fresh_python(GRID_IN_FRESH_PROCESS) == ["numpy", "scipy"]

@@ -9,13 +9,14 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chambers").glob
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by module-level imports that the module never references.
+    """Names bound by imports, at any depth, that the module never references.
 
-    A name listed in a literal `__all__` counts as referenced (a re-export).
+    Imports inside functions count too.  A name listed in a literal
+    `__all__` counts as referenced (a re-export).
     """
     tree = ast.parse(source)
     bound = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -34,6 +35,8 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom math import ceil, floor\nceil(1)\n") == [
         "line 1: os", "line 2: floor"]
     assert unused_imports("from . import a as b\n__all__ = ['b']\n") == []
+    assert unused_imports("def f():\n    import numpy as np\n"
+                          "    from scipy import sparse\n    return sparse\n") == ["line 2: np"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
