@@ -83,12 +83,10 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 def primitive_scale(v: Sequence[int]) -> Vec:
     """Divide out the gcd of the entries, keeping the sign pattern."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         raise ZeroVectorError("zero vector has no primitive form")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def primitive_normalize(v: Sequence[int]) -> Vec:
@@ -103,7 +101,7 @@ def primitive_normalize(v: Sequence[int]) -> Vec:
         if x > 0:
             return w
         if x < 0:
-            return tuple(-y for y in w)
+            return tuple([-y for y in w])
     raise ZeroVectorError("zero vector has no primitive form")  # unreachable
 
 

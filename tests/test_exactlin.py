@@ -18,8 +18,10 @@ class TestPrimitiveNormalize:
         assert ex.primitive_normalize(vec) == expected
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ex.ZeroVectorError):
-            ex.primitive_normalize((0, 0, 0))
+        for fn in (ex.primitive_normalize, ex.primitive_scale):
+            for vec in ((0, 0, 0), (0,), ()):
+                with pytest.raises(ex.ZeroVectorError):
+                    fn(vec)
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
            st.integers(-9, 9).filter(lambda k: k != 0))

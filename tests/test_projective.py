@@ -21,6 +21,7 @@ from chambers.projective import (
     restrict_to_flat,
     validate,
 )
+from chambers.spectrum import random_arrangements
 
 
 def naive_rank(rows):
@@ -185,10 +186,10 @@ class TestMultiplicity:
 
 
 @st.composite
-def valid_arrangements(draw):
-    """Valid arrangements in RP^1..RP^4 with n <= 8 and entries in [-3, 3]."""
-    d = draw(st.integers(1, 4))
-    row = st.tuples(*[st.integers(-3, 3)] * (d + 1)).filter(any)
+def valid_arrangements(draw, max_d=4, bound=3):
+    """Valid arrangements in RP^1..RP^max_d with n <= 8 and entries in [-bound, bound]."""
+    d = draw(st.integers(1, max_d))
+    row = st.tuples(*[st.integers(-bound, bound)] * (d + 1)).filter(any)
     rows = draw(st.lists(row, min_size=d + 1, max_size=8, unique_by=primitive_normalize))
     arr = ProjArrangement(d, tuple(rows))
     assume(validate(arr) == [])
@@ -227,9 +228,53 @@ class TestSweepAgainstReferences:
                              (0, 1, 0, 0), (0, 0, 1, 0))), 12, 4),
         (gn.near_pencil(6), 10, 5),
         (ProjArrangement(1, ((1, 0), (0, 1), (1, 1), (1, -1))), 4, 1),
+        # four lines through (1, 1, 1) and two more, every covector led by a
+        # negative entry, so the cross products at the R^3 leaf come in both signs
+        (ProjArrangement(2, ((-1, 1, 0), (-1, 0, 1), (0, -1, 1), (-2, 1, 1),
+                             (-1, 0, 0), (0, 0, -3))), 12, 4),
     ])
     def test_degenerate_restrictions(self, arr, f, m):
         assert self.check(arr) == (f, m)
+
+    @given(valid_arrangements(max_d=5, bound=40))
+    @settings(deadline=None, max_examples=60)
+    def test_wide_entries_up_to_rp5(self, arr):
+        self.check(arr)
+
+    def test_weighted_points_at_the_leaf(self):
+        # the pencil of the last case above with weights 2 + 3 + 1 + 5 = 11 at (1, 1, 1), plus
+        # two lines that meet its line (0, -1, 1) at (1, 0, 0): 3 + 4 + 7 = 14
+        rows = {(-1, 1, 0): 2, (0, -1, 1): 3, (-2, 1, 1): 1, (-1, 0, 1): 5,
+                (0, 1, 0): 4, (0, -1, -1): 7}
+        central = 2 * count_regions_oracle(ProjArrangement(2, tuple(rows)))
+        assert pj._sweep(rows, 3) == (central, 14)
+        del rows[(0, -1, -1)]
+        assert pj._sweep(rows, 3)[1] == 11
+
+
+class TestHyperplaneBasis:
+    @given(st.integers(2, 6).flatmap(lambda a: st.tuples(
+        st.integers(0, a - 1), st.integers(-40, 40).filter(bool),
+        st.lists(st.integers(-40, 40), min_size=a, max_size=a))))
+    def test_spans_the_hyperplane(self, drawn):
+        # pivot at column p: zeros before it, a nonzero (often negative) entry on it
+        p, pivot, entries = drawn
+        u = tuple([0] * p + [pivot] + entries[p + 1:])
+        basis = pj._hyperplane_basis(u)
+        assert all(sum(a * b for a, b in zip(u, v)) == 0 for v in basis)
+        assert naive_rank(basis) == len(basis) == len(u) - 1
+
+    def test_sweep_needs_no_general_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel_basis called on the sweep path")
+
+        gp = gn.general_position(12, 3)
+        [arr] = random_arrangements(1, seed=3, dims=(4,), max_n=10)
+        expected = TestSweepAgainstReferences.check(arr)
+        monkeypatch.setattr(pj, "kernel_basis", refuse)
+        assert count_regions_projective(gp) == gn.general_position_count(12, 3)
+        assert max_point_multiplicity(gp) == 3
+        assert (count_regions_projective(arr), max_point_multiplicity(arr)) == expected
 
 
 class TestRestriction:
