@@ -36,7 +36,7 @@ from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .exactlin import Vec, cross3, dot, kernel_basis, primitive_normalize, primitive_scale
-from .projective import ProjArrangement, count_regions_projective, validate
+from .projective import ProjArrangement, validate
 from .toric import Subtorus, ToricArrangement
 
 
@@ -75,52 +75,50 @@ class Recipe:
 PENCIL_APEX = (0, 0, 1)
 
 
-def _distinct_crossings(line: Vec, others: Sequence[Vec]) -> set[Vec]:
-    points = set()
-    for v in others:
-        p = cross3(line, v)
-        if any(p):
-            points.add(primitive_normalize(p))
-    return points
-
-
 class _PlaneBuilder:
-    """Incrementally places lines in RP^2 and tracks every crossing point."""
+    """Incrementally places distinct lines in RP^2.  `points`, its only record
+    of incidences, maps each crossing to the indices of the lines through it:
+    the initial crossings sorted, then new ones in the order lines add them."""
 
     def __init__(self, lines: Iterable[Vec]):
-        self.lines: list[Vec] = [primitive_normalize(v) for v in lines]
+        self.lines: list[Vec] = []
         self.points: dict[Vec, set[int]] = {}
-        for i, j in itertools.combinations(range(len(self.lines)), 2):
-            p = cross3(self.lines[i], self.lines[j])
+        for v in lines:
+            self._place(primitive_normalize(v))
+        self.points = dict(sorted(self.points.items()))
+
+    def _place(self, line: Vec) -> None:
+        idx = len(self.lines)
+        for i, v in enumerate(self.lines):
+            p = cross3(line, v)
             if any(p):
-                self.points.setdefault(primitive_normalize(p), set()).update((i, j))
-        self.order: list[Vec] = sorted(self.points)
+                self.points.setdefault(primitive_normalize(p), set()).update((i, idx))
+        self.lines.append(line)
 
     def multiplicity(self, point: Vec) -> int:
         return len(self.points.get(point, ()))
 
     def double_points(self) -> list[Vec]:
-        return [p for p in self.order if len(self.points[p]) == 2]
+        return [p for p, on in self.points.items() if len(on) == 2]
+
+    def crossings(self, line: Vec) -> int:
+        """Distinct points where `line`, not a placed line, meets the placed
+        ones: a crossing on it through mu of them merges mu meetings into one."""
+        a, b, c = line
+        return len(self.lines) - sum(
+            len(on) - 1 for p, on in self.points.items()
+            if a * p[0] + b * p[1] + c * p[2] == 0)
 
     def add_line(self, line: Vec, expected_new_points: int) -> None:
         line = primitive_normalize(line)
         if line in self.lines:
             raise PlacementError("line coincides with an existing one")
-        crossings = _distinct_crossings(line, self.lines)
-        if len(crossings) != expected_new_points:
+        crossings = self.crossings(line)
+        if crossings != expected_new_points:
             raise PlacementError(
-                f"line meets the arrangement in {len(crossings)} points, "
+                f"line meets the arrangement in {crossings} points, "
                 f"expected {expected_new_points}")
-        idx = len(self.lines)
-        self.lines.append(line)
-        for i, v in enumerate(self.lines[:-1]):
-            p = cross3(line, v)
-            if any(p):
-                key = primitive_normalize(p)
-                if key not in self.points:
-                    self.points[key] = set()
-                    self.order.append(key)
-                self.points[key].update((i, idx))
+        self._place(line)
 
     def scan_line_through(self, anchors: Sequence[Vec], forbid: Sequence[Vec],
                           expected_new_points: int) -> Vec:
@@ -145,8 +143,7 @@ class _PlaneBuilder:
                 continue
             if any(dot(line, p) == 0 for p in forbid):
                 continue
-            crossings = _distinct_crossings(line, self.lines)
-            if len(crossings) != expected_new_points:
+            if self.crossings(line) != expected_new_points:
                 continue
             if not all(dot(line, a) == 0 for a in anchors):
                 continue
@@ -301,64 +298,67 @@ def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:
 
 def _first_simple_point(builder: _PlaneBuilder, forbid_lines: set[int],
                         avoid: set[Vec] = frozenset()) -> Vec:
-    for p in builder.order:
+    for p, lines in builder.points.items():
         if p in avoid:
             continue
-        lines = builder.points[p]
         if len(lines) == 2 and not (lines & forbid_lines):
             return p
     raise PlacementError("no admissible double point available")
 
 
 def cone(base: ProjArrangement, extras: int = 1,
-         placement: str = "generic",
          through_point: tuple[int, int] | None = None) -> ProjArrangement:
     """Lift of `base` through a new apex, plus `extras` hyperplanes off it.
 
     The first extra is the coordinate hyperplane meeting the lift in a copy
     of the base; with exactly one extra the region count doubles.  Further
-    extras need a plane base (d = 2): "generic" ones avoid every base
-    crossing, "through_chosen_flat" ones pass through the crossing of the
-    two base lines named by `through_point`.
+    extras need a plane base (d = 2): they avoid every base crossing, or,
+    when `through_point` names two base lines, pass through their crossing.
     """
     if extras < 1:
         raise PlacementError("a cone needs at least one hyperplane off the apex")
+    if through_point is not None and extras == 1:
+        raise PlacementError("a through point needs at least two extras")
     covs = [u + (0,) for u in base.covectors]
     covs.append(tuple([0] * (base.d + 1)) + (1,))
     if extras > 1:
         if base.d != 2:
             raise PlacementError("multiple extras are only catalogued over plane bases")
         builder = _PlaneBuilder(base.covectors)
-        anchor = None
-        if placement == "through_chosen_flat":
-            if through_point is None:
-                raise PlacementError("through_chosen_flat needs a base line pair")
-            i, j = through_point
-            anchor = primitive_normalize(cross3(base.covectors[i], base.covectors[j]))
+        anchors = [] if through_point is None else [base_crossing(base, through_point)[0]]
         for _ in range(extras - 1):
-            n_lines = len(builder.lines)
-            if anchor is None:
-                expected = n_lines
-                w = builder.scan_line_through([], [PENCIL_APEX], expected)
-            else:
-                expected = n_lines - builder.multiplicity(anchor) + 1
-                w = builder.scan_line_through([anchor], [PENCIL_APEX], expected)
+            expected = len(builder.lines) - sum(builder.multiplicity(p) - 1 for p in anchors)
+            w = builder.scan_line_through(anchors, [PENCIL_APEX], expected)
             builder.add_line(w, expected)
             covs.append(w + (1,))
     return ProjArrangement(base.d + 1, tuple(covs))
 
 
-def cone_count(base_count: int, extras: int, base_n: int | None = None) -> int | None:
-    """Predicted count for a cone with generic extras over a plane base.
+def base_crossing(base: ProjArrangement, pair: tuple[int, int]) -> tuple[Vec, int]:
+    """The crossing of the two plane-base lines `pair` indexes, and the number
+    of base lines through it."""
+    i, j = pair
+    if i == j or not (0 <= i < base.n and 0 <= j < base.n):
+        raise PlacementError(
+            f"a through point needs two different base lines in 0..{base.n - 1}, "
+            f"got {i} and {j}")
+    p = primitive_normalize(cross3(base.covectors[i], base.covectors[j]))
+    return p, sum(dot(u, p) == 0 for u in base.covectors)
 
-    One extra doubles the base count.  With e generic extras over a plane
-    base of q lines the traces stay mutually generic only up to e = 2, so
-    larger cones are left to the dedicated builders.
+
+def cone_count(base_count: int, extras: int, base_n: int | None = None,
+               through_multiplicity: int = 1) -> int | None:
+    """Predicted count for a cone over a plane base, None without a closed form.
+
+    One extra doubles the base count.  A second extra adds the n - (mu - 1)
+    points where its trace crosses the n base lines, mu being the number of
+    base lines through its chosen crossing (1 for none).  With more extras
+    the traces stop being mutually generic; those cones have no closed form.
     """
     if extras == 1:
         return 2 * base_count
     if extras == 2 and base_n is not None:
-        return 3 * base_count + base_n
+        return 3 * base_count + base_n - (through_multiplicity - 1)
     return None
 
 
@@ -383,7 +383,7 @@ def two_extra_planes(base: ProjArrangement, coincidences: int = 0,
         covs.append(tuple(w) + (1,))
         return ProjArrangement(3, tuple(covs))
 
-    apexes = [p for p in builder.order if len(builder.points[p]) > 2]
+    apexes = [p for p, on in builder.points.items() if len(on) > 2]
     w = None
     if coincidences == 0:
         w = builder.scan_line_through([], apexes, n2)
@@ -476,12 +476,9 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
         raise PlacementError("supported anchor counts: s2, s3 <= 1, s23 <= 2")
     builder = _PlaneBuilder(base.covectors)
     doubles = builder.double_points()
-    apex_pts = [p for p in builder.order if len(builder.points[p]) > 2]
+    apex_pts = [p for p, on in builder.points.items() if len(on) > 2]
     base_set = set(builder.lines)
     n2 = base.n
-    f_base = count_regions_projective(base)
-    want2 = f_base + n2 - s2
-    want3 = f_base + (n2 - s3) + (n2 + 1 - s23)
 
     if len(doubles) < s2 + s3 + s23:
         raise PlacementError("not enough double points in the base")
@@ -523,6 +520,10 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
             raise PlacementError("no admissible crossing of w3 for the second anchor")
         conditions.append((z2, 0))
 
+    # a new line in RP^2 adds one region per distinct point it crosses, so
+    # these counts give f(base + w2) = f(base) + n - s2 and, with the scan's
+    # n - s3 for w3, f(base + w3 + omega) = f(base) + (n - s3) + (n + 1 - s23)
+    with_w3 = _PlaneBuilder(builder.lines + [w3])
     for w2 in _affine_scan(conditions):
         if not any(w2):
             continue
@@ -531,17 +532,13 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
         if not any(omega):
             continue
         omega_n = primitive_normalize(omega)
-        if len({w2n, primitive_normalize(w3), omega_n}) < 3:
-            continue
-        if {w2n, omega_n} & base_set or primitive_normalize(w3) == w2n:
+        if len({w2n, w3, omega_n}) < 3 or {w2n, omega_n} & base_set:
             continue
         if any(dot(w2n, p) == 0 for p in apex_pts):
             continue
-        if count_regions_projective(
-                ProjArrangement(2, tuple(builder.lines) + (w2n,))) != want2:
+        if builder.crossings(w2n) != n2 - s2:
             continue
-        if count_regions_projective(
-                ProjArrangement(2, tuple(builder.lines) + (primitive_normalize(w3), omega_n))) != want3:
+        if with_w3.crossings(omega_n) != n2 + 1 - s23:
             continue
         covs = [u + (0,) for u in builder.lines]
         covs.append((0, 0, 0, 1))

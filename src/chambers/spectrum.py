@@ -44,7 +44,11 @@ class RecipeMismatchError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def plane_recipes(n: int) -> tuple[Recipe, ...]:
-    """Plane families at exactly n lines, deduplicated by predicted count."""
+    """Plane families at exactly n lines, every feasible program kept.
+
+    Several recipes may predict the same count; the later ones are the
+    fallbacks `_fill_report` tries when an earlier one raises PlacementError.
+    """
     if n < 3:
         return ()
     recipes: list[Recipe] = []

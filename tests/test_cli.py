@@ -10,7 +10,7 @@ from chambers import cli
 from chambers.cli import main
 from chambers.projective import ProjArrangement, dump_arrangement
 from chambers.toric import ToricArrangement, dump_toric
-from chambers.generators import toric_construction_b
+from chambers.generators import double_pencil, general_position, toric_construction_b
 
 TRIANGLE = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
@@ -214,6 +214,44 @@ class TestGen:
         code, _ = run(capsys, "gen", "double-pencil", "-a", "1", "-b", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("base,pair,f", [
+        (general_position(5, 2), ("0", "1"), 37),  # mu = 2: 3 * 11 + 5 - 1
+        (double_pencil(3, 4, True), ("0", "3"), 39),  # mu = 4: 3 * 12 + 6 - 3
+        (double_pencil(3, 4, True), ("1", "3"), 41),  # mu = 2
+    ])
+    def test_cone_through_point_expect(self, capsys, tmp_path, base, pair, f):
+        path = tmp_path / "base.json"
+        dump_arrangement(base, str(path))
+        code = main(["gen", "cone", "--base", str(path), "--extras", "2",
+                     "--through", *pair, "--expect"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.err == f"count verified: f = {f}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--extras", "2", "--through", "0", "9"],
+        ["--extras", "2", "--through", "-1", "0"],
+        ["--extras", "2", "--through", "2", "2"],
+        ["--through", "0", "1"],
+    ])
+    def test_cone_bad_through_point_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "base.json"
+        dump_arrangement(general_position(5, 2), str(path))
+        code = main(["gen", "cone", "--base", str(path), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_expect_without_closed_form_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "base.json"
+        dump_arrangement(general_position(5, 2), str(path))
+        code = main(["gen", "cone", "--base", str(path), "--extras", "3", "--expect"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: family 'cone' has no closed-form count")
+
 
 class TestSearch:
     def test_projective_json_report(self, capsys, tmp_path):
@@ -241,6 +279,20 @@ class TestVerifyAcceptance:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS criterion 5" in out
+
+    def test_bound_invariants_run_after_the_others(self, capsys):
+        code = main(["verify-acceptance", "--only", "8", "--only", "6", "--only", "7"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [line.split()[2] for line in lines] == ["6", "7", "8"]
+        # 22 arrangements from criterion 7 and 24 from criterion 8
+        assert "0 violations over 46 counted arrangements" in lines[0]
+
+    def test_bound_invariants_alone_fail(self, capsys):
+        code = main(["verify-acceptance", "--only", "6"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("FAIL criterion 6")
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chambers import generators as gn
-from chambers.exactlin import dot, rank
+from chambers import projective as pj
+from chambers import spectrum as sp
+from chambers.exactlin import cross3, dot, primitive_normalize, rank
 from chambers.oracle import count_regions_oracle
 from chambers.projective import count_regions_projective, max_point_multiplicity, validate
 from chambers.toric import count_regions_toric
@@ -122,6 +124,38 @@ class TestCone:
         with pytest.raises(gn.PlacementError):
             gn.cone(gn.near_pencil(5), extras=0)
 
+    @pytest.mark.parametrize("base", [
+        gn.general_position(6, 2),
+        gn.double_pencil(3, 4, True),
+        gn.double_pencil(3, 5, False),
+    ], ids=["gp6", "dp34-common", "dp35"])
+    def test_through_point_count(self, base):
+        # 3 f(base) + n - (mu - 1) on every pair the builder can place
+        phi = count_regions_projective(base)
+        built = set()
+        for pair in itertools.combinations(range(base.n), 2):
+            try:
+                arr = gn.cone(base, extras=2, through_point=pair)
+            except gn.PlacementError:
+                continue
+            _, mu = gn.base_crossing(base, pair)
+            built.add(mu)
+            assert count_regions_projective(arr) == gn.cone_count(
+                phi, 2, base_n=base.n, through_multiplicity=mu)
+        assert built
+
+    @pytest.mark.parametrize("pair", [(0, 5), (-1, 0), (2, 2)])
+    def test_bad_through_point_rejected(self, pair):
+        with pytest.raises(gn.PlacementError, match="two different base lines"):
+            gn.cone(gn.general_position(5, 2), extras=2, through_point=pair)
+
+    def test_through_point_needs_a_second_extra(self):
+        with pytest.raises(gn.PlacementError, match="at least two extras"):
+            gn.cone(gn.general_position(5, 2), extras=1, through_point=(0, 1))
+
+    def test_no_closed_form_past_two_extras(self):
+        assert gn.cone_count(10, 3, base_n=6) is None
+
 
 class TestTwoExtraPlanes:
     def test_spec_value_at_n11(self):
@@ -170,6 +204,46 @@ class TestThreeExtraPlanes:
         base = gn.near_pencil(8)
         arr = gn.three_extra_planes(base, 0, 0, 0)
         assert max_point_multiplicity(arr) == 8
+
+    def test_builds_without_counting_regions(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a region count ran inside a generator")
+
+        monkeypatch.setattr(pj, "_sweep", refuse)
+        with pytest.raises(AssertionError):
+            count_regions_projective(gn.near_pencil(5))
+        built = 0
+        for recipe in sp.projective_recipes(10, 3):
+            if recipe.family != "three_extra":
+                continue
+            try:
+                sp.build_recipe(recipe)
+            except gn.PlacementError:
+                continue
+            built += 1
+        assert built > 0
+
+
+VEC3 = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+
+
+@given(st.lists(VEC3, max_size=5), VEC3, st.lists(VEC3, max_size=4), VEC3)
+@settings(deadline=None, max_examples=200)
+def test_builder_counts_distinct_crossings(free, apex, spokes, probe):
+    # spokes through one apex force a point of high multiplicity
+    lines = [primitive_normalize(v) for v in free]
+    lines += [primitive_normalize(cross3(apex, q)) for q in spokes if any(cross3(apex, q))]
+    builder = gn._PlaneBuilder(dict.fromkeys(lines))
+    probes = [probe, cross3(apex, probe)] + [cross3(p, probe) for p in builder.points]
+    for line in probes:
+        if not any(line) or primitive_normalize(line) in builder.lines:
+            continue
+        distinct = {primitive_normalize(cross3(line, v)) for v in builder.lines}
+        assert builder.crossings(line) == len(distinct)
+    line = primitive_normalize(probe)
+    if line not in builder.lines:
+        builder.add_line(line, builder.crossings(line))
+        assert builder.points == gn._PlaneBuilder(builder.lines).points
 
 
 @given(st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * 3), st.integers(-6, 6)),
