@@ -1,11 +1,12 @@
 """Constructive arrangement families with known region counts.
 
 Every generator is deterministic: free parameters come from small integer
-scans whose candidates are checked exactly (no point may lie on a line it
-was not asked to lie on), so a successful build realizes precisely the
-incidence pattern the recipe names, and the expected count attached to the
-recipe is trustworthy.  Builders raise PlacementError when a requested
-pattern is not realizable.
+scans.  A plane line through its anchors is admitted by one exact count,
+its distinct crossings with the lines already placed; the count reaches
+the anchors' bound exactly when the line passes through no other crossing.
+So a successful build realizes precisely the incidence pattern the recipe
+names, and the expected count attached to the recipe is trustworthy.
+Builders raise PlacementError when a requested pattern is not realizable.
 
 Projective families (all exact integer covectors):
 
@@ -72,8 +73,6 @@ class Recipe:
 # ---------------------------------------------------------------------------
 # plane machinery: pencils, anchors, deterministic genericity scans
 
-PENCIL_APEX = (0, 0, 1)
-
 
 class _PlaneBuilder:
     """Incrementally places distinct lines in RP^2.  `points`, its only record
@@ -84,10 +83,11 @@ class _PlaneBuilder:
         self.lines: list[Vec] = []
         self.points: dict[Vec, set[int]] = {}
         for v in lines:
-            self._place(primitive_normalize(v))
+            self.place(primitive_normalize(v))
         self.points = dict(sorted(self.points.items()))
 
-    def _place(self, line: Vec) -> None:
+    def place(self, line: Vec) -> None:
+        """Add `line`, primitive and not yet placed, and record its crossings."""
         idx = len(self.lines)
         for i, v in enumerate(self.lines):
             p = cross3(line, v)
@@ -109,22 +109,22 @@ class _PlaneBuilder:
             len(on) - 1 for p, on in self.points.items()
             if a * p[0] + b * p[1] + c * p[2] == 0)
 
-    def add_line(self, line: Vec, expected_new_points: int) -> None:
-        line = primitive_normalize(line)
-        if line in self.lines:
-            raise PlacementError("line coincides with an existing one")
-        crossings = self.crossings(line)
-        if crossings != expected_new_points:
-            raise PlacementError(
-                f"line meets the arrangement in {crossings} points, "
-                f"expected {expected_new_points}")
-        self._place(line)
+    def crossing_bound(self, anchors: Sequence[Vec]) -> int:
+        """Most distinct crossings of a line through the anchors, reached
+        exactly by a line through no other crossing."""
+        return len(self.lines) - sum(
+            self.multiplicity(a) - 1 for a in anchors if a in self.points)
 
-    def scan_line_through(self, anchors: Sequence[Vec], forbid: Sequence[Vec],
-                          expected_new_points: int) -> Vec:
-        """Deterministic search for a line through the anchors that meets the
-        current arrangement in exactly the expected number of points and
-        avoids every point in `forbid`."""
+    def scan_line_through(self, anchors: Sequence[Vec], expected_new_points: int) -> Vec:
+        """The first of up to 2001 candidate lines through the anchors that is
+        not placed and meets the placed lines in `expected_new_points` points.
+
+        Every candidate passes through every anchor, so it crosses at most
+        `crossing_bound(anchors)` = len(lines) - sum(mu - 1) lines, mu being
+        each anchor's multiplicity: a request above that bound raises before
+        any candidate is tried, and a line that meets it passes through no
+        crossing but the anchors.
+        """
         if len(anchors) > 2:
             raise PlacementError("a line passes through at most two chosen points")
         if len(anchors) == 2:
@@ -133,21 +133,12 @@ class _PlaneBuilder:
             candidates = (cross3(anchors[0], (1, t, t * t)) for t in itertools.count(1))
         else:
             candidates = ((t * t + 1, t, 1) for t in itertools.count(1))
-        for tries, cand in enumerate(candidates):
-            if tries > 2000:
-                break
-            if not any(cand):
-                continue
-            line = primitive_normalize(cand)
-            if line in self.lines:
-                continue
-            if any(dot(line, p) == 0 for p in forbid):
-                continue
-            if self.crossings(line) != expected_new_points:
-                continue
-            if not all(dot(line, a) == 0 for a in anchors):
-                continue
-            return line
+        if expected_new_points <= self.crossing_bound(anchors):
+            for cand in itertools.islice(candidates, 2001):
+                if any(cand):
+                    line = primitive_normalize(cand)
+                    if line not in self.lines and self.crossings(line) == expected_new_points:
+                        return line
         raise PlacementError("no admissible line found for the requested anchors")
 
 
@@ -261,26 +252,25 @@ def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:
     if savings is None:
         raise PlacementError(f"program {program!r} is not realizable")
     builder = _PlaneBuilder((i, 1, 0) for i in range(q))
-    apex = PENCIL_APEX
     stack_point: Vec | None = None
     extras_start = q
     for i, action in enumerate(program):
         expected = q + i - savings[i]
         if action == "fresh":
-            line = builder.scan_line_through([], [apex], expected)
+            line = builder.scan_line_through([], expected)
         elif action == "cross1":
             anchor = _first_simple_point(builder, forbid_lines=set())
-            line = builder.scan_line_through([anchor], [apex], expected)
+            line = builder.scan_line_through([anchor], expected)
         elif action == "cross2":
             first = _first_simple_point(builder, forbid_lines=set())
             second = _first_simple_point(
                 builder, forbid_lines=builder.points[first], avoid={first})
-            line = builder.scan_line_through([first, second], [apex], expected)
+            line = builder.scan_line_through([first, second], expected)
         elif action == "stack":
             if stack_point is None:
                 stack_point = primitive_normalize(
                     cross3(builder.lines[extras_start], builder.lines[0]))
-            line = builder.scan_line_through([stack_point], [apex], expected)
+            line = builder.scan_line_through([stack_point], expected)
         else:  # stack_cross
             if stack_point is None:
                 stack_point = primitive_normalize(
@@ -288,8 +278,8 @@ def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:
             other = _first_simple_point(
                 builder, forbid_lines=builder.points[stack_point],
                 avoid={stack_point})
-            line = builder.scan_line_through([stack_point, other], [apex], expected)
-        builder.add_line(line, expected)
+            line = builder.scan_line_through([stack_point, other], expected)
+        builder.place(line)
     arr = ProjArrangement(2, tuple(builder.lines))
     if validate(arr):
         raise PlacementError("pencil-with-extras construction degenerated")
@@ -327,9 +317,8 @@ def cone(base: ProjArrangement, extras: int = 1,
         builder = _PlaneBuilder(base.covectors)
         anchors = [] if through_point is None else [base_crossing(base, through_point)[0]]
         for _ in range(extras - 1):
-            expected = len(builder.lines) - sum(builder.multiplicity(p) - 1 for p in anchors)
-            w = builder.scan_line_through(anchors, [PENCIL_APEX], expected)
-            builder.add_line(w, expected)
+            w = builder.scan_line_through(anchors, builder.crossing_bound(anchors))
+            builder.place(w)
             covs.append(w + (1,))
     return ProjArrangement(base.d + 1, tuple(covs))
 
@@ -383,16 +372,13 @@ def two_extra_planes(base: ProjArrangement, coincidences: int = 0,
         covs.append(tuple(w) + (1,))
         return ProjArrangement(3, tuple(covs))
 
-    apexes = [p for p, on in builder.points.items() if len(on) > 2]
     w = None
     if coincidences == 0:
-        w = builder.scan_line_through([], apexes, n2)
+        w = builder.scan_line_through([], n2)
     else:
-        for anchors in _coincidence_anchor_sets(builder, apexes, coincidences):
-            forbid = [p for p in apexes if p not in anchors]
+        for anchors in _coincidence_anchor_sets(builder, coincidences):
             try:
-                w = builder.scan_line_through(list(anchors), forbid,
-                                              n2 - coincidences)
+                w = builder.scan_line_through(list(anchors), n2 - coincidences)
                 break
             except PlacementError:
                 continue
@@ -415,8 +401,7 @@ def two_extra_planes_count(base_count: int, base_n: int,
     return 3 * base_count + base_n - coincidences
 
 
-def _coincidence_anchor_sets(builder: _PlaneBuilder, apexes: list[Vec],
-                             coincidences: int):
+def _coincidence_anchor_sets(builder: _PlaneBuilder, coincidences: int):
     """Candidate anchor tuples whose multiplicity savings sum to the target.
 
     A point of multiplicity mu absorbs mu - 1 trace coincidences.  Singles
@@ -425,6 +410,7 @@ def _coincidence_anchor_sets(builder: _PlaneBuilder, apexes: list[Vec],
     every decomposition of the requested count is eventually tried.
     """
     doubles = builder.double_points()
+    apexes = [p for p, on in builder.points.items() if len(on) > 2]
     emitted = 0
     if coincidences == 1:
         for p in doubles:
@@ -476,14 +462,13 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
         raise PlacementError("supported anchor counts: s2, s3 <= 1, s23 <= 2")
     builder = _PlaneBuilder(base.covectors)
     doubles = builder.double_points()
-    apex_pts = [p for p, on in builder.points.items() if len(on) > 2]
     base_set = set(builder.lines)
     n2 = base.n
 
     if len(doubles) < s2 + s3 + s23:
         raise PlacementError("not enough double points in the base")
     a3 = doubles[:s3]
-    w3 = builder.scan_line_through(list(a3), apex_pts, n2 - s3)
+    w3 = builder.scan_line_through(list(a3), n2 - s3)
 
     # anchor pool for w2 and the difference line, taken off w3; anchors that
     # share a new line (the two difference anchors) must not share a base line
@@ -533,8 +518,6 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
             continue
         omega_n = primitive_normalize(omega)
         if len({w2n, w3, omega_n}) < 3 or {w2n, omega_n} & base_set:
-            continue
-        if any(dot(w2n, p) == 0 for p in apex_pts):
             continue
         if builder.crossings(w2n) != n2 - s2:
             continue

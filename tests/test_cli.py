@@ -218,6 +218,7 @@ class TestGen:
         (general_position(5, 2), ("0", "1"), 37),  # mu = 2: 3 * 11 + 5 - 1
         (double_pencil(3, 4, True), ("0", "3"), 39),  # mu = 4: 3 * 12 + 6 - 3
         (double_pencil(3, 4, True), ("1", "3"), 41),  # mu = 2
+        (double_pencil(3, 4, True), ("0", "1"), 40),  # mu = 3, at (0, 0, 1)
     ])
     def test_cone_through_point_expect(self, capsys, tmp_path, base, pair, f):
         path = tmp_path / "base.json"
@@ -271,6 +272,16 @@ class TestSearch:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "f,witness,predicted_member"
         assert len(lines) > 3
+
+    def test_projective_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "table.csv"
+        code, _ = run(capsys, "search", "--space", "projective", "-n", "10", "-d", "2",
+                      "--csv", str(csv_path))
+        assert code == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "f,witness,predicted_member"
+        assert [line.split(",")[0] for line in lines[1:]] == ["18", "24", "25", "28"]
+        assert all(line.endswith(",True") for line in lines[1:])
 
 
 class TestVerifyAcceptance:

@@ -242,8 +242,46 @@ def test_builder_counts_distinct_crossings(free, apex, spokes, probe):
         assert builder.crossings(line) == len(distinct)
     line = primitive_normalize(probe)
     if line not in builder.lines:
-        builder.add_line(line, builder.crossings(line))
+        builder.place(line)
         assert builder.points == gn._PlaneBuilder(builder.lines).points
+
+
+class TestScanLineThrough:
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_request_above_the_bound_tries_no_candidate(self, monkeypatch, anchored):
+        builder = gn._PlaneBuilder(gn.near_pencil(6).covectors)
+        apex = max(builder.points, key=builder.multiplicity)
+        anchors = [apex] if anchored else []
+        bound = 2 if anchored else 6  # six lines, five of them through the apex
+        tried = []
+        count = builder.crossings
+        monkeypatch.setattr(builder, "crossings", lambda line: tried.append(line) or count(line))
+        with pytest.raises(gn.PlacementError, match="no admissible line found"):
+            builder.scan_line_through(anchors, bound + 1)
+        assert tried == []
+        builder.scan_line_through(anchors, bound)
+        assert tried
+
+
+@given(st.lists(VEC3, min_size=2, max_size=6), st.data())
+@settings(deadline=None, max_examples=200)
+def test_scan_meets_no_crossing_but_its_anchors(free, data):
+    builder = gn._PlaneBuilder(dict.fromkeys(primitive_normalize(v) for v in free))
+    if not builder.points:
+        return
+    anchors = data.draw(st.lists(st.sampled_from(list(builder.points)), max_size=2, unique=True))
+    bound = len(builder.lines) - sum(len(builder.points[a]) - 1 for a in anchors)
+    try:
+        line = builder.scan_line_through(anchors, bound)
+    except gn.PlacementError:
+        # the only candidate, the line through both anchors, is placed or
+        # crosses a third point
+        assert len(anchors) == 2
+        return
+    assert line not in builder.lines
+    assert {p for p in builder.points if dot(line, p) == 0} == set(anchors)
+    with pytest.raises(gn.PlacementError):
+        builder.scan_line_through(anchors, bound + 1)
 
 
 @given(st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * 3), st.integers(-6, 6)),

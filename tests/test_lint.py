@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chambers").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "chambers").glob("*.py"))
+REFERRERS = sorted(p for top in ("src", "tests", "perfbench") for p in (ROOT / top).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +44,48 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_level_names(source: str) -> dict[str, int]:
+    """Functions, classes and plainly assigned names at a module's top level,
+    each with its line; dunder names such as `__all__` are left out."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        names.update((name, node.lineno) for name in targets if not name.startswith("__"))
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names the source reads, reads as an attribute or imports."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+    return refs
+
+
+def test_detects_an_unreferenced_name():
+    source = "X = 1\nY: int = 2\n__all__ = []\ndef f():\n    return Y\nclass C:\n    pass\n"
+    assert module_level_names(source) == {"X": 1, "Y": 2, "f": 4, "C": 6}
+    refs = referenced_names(source) | referenced_names("from m import C\nimport m\nm.f()\n")
+    assert sorted(set(module_level_names(source)) - refs) == ["X"]
+
+
+def test_every_module_level_name_is_referenced():
+    refs = set().union(*(referenced_names(p.read_text()) for p in REFERRERS))
+    unreferenced = [f"{p.name}:{line}: {name}" for p in SOURCES
+                    for name, line in module_level_names(p.read_text()).items()
+                    if name not in refs]
+    assert unreferenced == []

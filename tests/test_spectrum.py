@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from chambers import bounds as bd
+from chambers import generators as gn
 from chambers import spectrum as sp
 from chambers.projective import count_regions_projective
 from chambers.toric import count_regions_toric
@@ -41,6 +44,29 @@ class TestSearchProjective:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             sp.search_projective(4, 1)
+
+
+# sha256 over the outcome of every recipe of projective_recipes(9, 3), in the
+# format of test_integer_boundary.RECIPE_OUTCOMES_10_3.  It covers the
+# pencil_extras(2, ...) bases, whose cross1 and cross2 lines pass through the
+# pencil's apex: with q = 2 the apex is a double point and can be an anchor.
+RECIPE_OUTCOMES_9_3 = "8057b5fac1c5fd5476d126509887410e36962aeaf5fab079c678e20bb4a7a0fe"
+
+
+def test_every_built_recipe_counts_as_predicted():
+    digest = hashlib.sha256()
+    built = 0
+    for recipe in sp.projective_recipes(9, 3):
+        try:
+            arr = sp.build_recipe(recipe)
+        except gn.PlacementError as exc:
+            digest.update(f"PlacementError: {exc}\n".encode())
+            continue
+        digest.update(repr(arr.covectors).encode() + b"\n")
+        assert count_regions_projective(arr) == recipe.expected_f, recipe.describe()
+        built += 1
+    assert built == 1453
+    assert digest.hexdigest() == RECIPE_OUTCOMES_9_3
 
 
 class TestSearchToric:
