@@ -228,14 +228,31 @@ def pencil_extras_savings(program: Sequence[str]) -> list[int] | None:
     return savings
 
 
+def _feasible_programs(max_extras: int) -> tuple[tuple[tuple[tuple[str, ...], int], ...], ...]:
+    """(program, total saving) of every feasible program, indexed by length.
+
+    `pencil_extras_savings` refuses a program at its first infeasible action,
+    so only feasible prefixes need extending, and extending them in action
+    order keeps the order of `itertools.product(PENCIL_ACTIONS, repeat=k)`.
+    """
+    table = [(((), 0),)]
+    for _ in range(max_extras):
+        table.append(tuple((p + (a,), sum(s)) for p, _ in table[-1] for a in PENCIL_ACTIONS
+                           if (s := pencil_extras_savings(p + (a,))) is not None))
+    return tuple(table)
+
+
+# a program's saving S gives its count at q as in pencil_with_extras_count
+PENCIL_PROGRAMS = _feasible_programs(5)
+
+
 def pencil_with_extras_count(q: int, program: Sequence[str]) -> int | None:
+    """q + the sum over extras i of q + i - savings[i]; None if infeasible."""
     savings = pencil_extras_savings(program)
     if savings is None:
         return None
-    f = q
-    for i, s in enumerate(program):
-        f += q + i - savings[i]
-    return f
+    k = len(program)
+    return q * (k + 1) + k * (k - 1) // 2 - sum(savings)
 
 
 def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:

@@ -9,11 +9,11 @@ Region counts and m, the largest number of hyperplanes through one point,
 come from one deletion-restriction sweep over the central lift in R^(d+1)
 (Zaslavsky, Mem. AMS 154, 1975; Stanley, *An introduction to hyperplane
 arrangements*, Lecture 2); antipodal identification halves the central count.
-The sweep restricts to a hyperplane u through the closed-form basis
-u[p] e_c - u[c] e_p (c != p, u[p] the first nonzero entry of u), with no
-elimination, and in R^3 it finds each trace point as a cross product
-written inline; the general solver `kernel_basis` stays for flats of the
-poset.
+The sweep restricts to a hyperplane u with no elimination: in the basis
+u[p] e_c - u[c] e_p of {u . x = 0} (c != p, u[p] the first nonzero entry
+of u) the trace of v is its vector of 2x2 minors u[p] v[c] - u[c] v[p], and
+in R^3 each trace point is a cross product, both written inline; the
+general solver `kernel_basis` stays for flats of the poset.
 
 The intersection poset is the independent reference the tests compare the
 sweep with, through its characteristic polynomial and Zaslavsky's theorem.
@@ -116,7 +116,12 @@ def validate(arr: ProjArrangement) -> list[str]:
             violations.append(f"DuplicateHyperplane: {seen[key]} and {i}")
         else:
             seen[key] = i
-    if len(echelon_form(arr.covectors)) < arr.d + 1:
+    ech: tuple[Vec, ...] = ()
+    for u in arr.covectors:  # d+1 independent rows decide it; stop there
+        ech = echelon_insert(ech, u) or ech
+        if len(ech) == arr.d + 1:
+            break
+    else:
         violations.append("CommonPoint: covector matrix rank below d+1")
     return violations
 
@@ -295,25 +300,6 @@ def _traces(rows: Iterable[tuple[Vec, int]], basis: Sequence[Vec]) -> dict[Vec, 
     return out
 
 
-def _hyperplane_basis(u: Vec) -> list[Vec]:
-    """Basis u[p] e_c - u[c] e_p (c != p) of {x : u . x = 0}, p the pivot of u.
-
-    Each vector is zero off columns c and p and nonzero in column c, so the
-    ambient - 1 vectors are independent.  They are not made primitive: every
-    trace taken on them is normalized anyway.
-    """
-    p = next(i for i, x in enumerate(u) if x)
-    up = u[p]
-    basis = []
-    for c, uc in enumerate(u):
-        if c != p:
-            b = [0] * len(u)
-            b[c] = up
-            b[p] = -uc
-            basis.append(tuple(b))
-    return basis
-
-
 def _sweep(rows: dict[Vec, int], ambient: int) -> tuple[int, int]:
     """(central regions, m) of distinct weighted hyperplanes in R^ambient.
 
@@ -323,14 +309,19 @@ def _sweep(rows: dict[Vec, int], ambient: int) -> tuple[int, int]:
     trace on H through it, so m is the most, over H, of H's weight plus the
     m of its traces.  In R^2, j lines cut 2j regions.
 
-    Traces on H are taken in `_hyperplane_basis(H)`.  In R^3 the traces on
-    H are points of H, cross(H, V) for each earlier plane V, and j distinct
-    points cut H into 2j regions.  This leaf makes most of the traces, so its
-    cross product, gcd and sign flip are written out here: a seed-1
-    rp-zaslavsky benchmark pass on a 2-CPU Linux host took 0.23-0.32 s with
-    it, 0.40 s with no leaf and 0.35-0.38 s with a leaf that calls
-    `primitive_normalize(cross3(u, v))`.  The R^2 case is reached only from
-    RP^1 inputs.
+    The trace of V on H = {u . x = 0}, in the basis u[p] e_c - u[c] e_p
+    (c != p, p the pivot of u), is the vector of 2x2 minors
+    u[p] V[c] - u[c] V[p].  In R^3 the traces on H are points of H,
+    cross(H, V) for each earlier plane V, and j distinct points cut H into
+    2j regions.  This leaf makes most of the traces, so its cross product,
+    gcd and sign flip are written out here: a seed-1 rp-zaslavsky benchmark
+    pass on a 2-CPU Linux host took 0.23-0.32 s with it, 0.40 s with no leaf
+    and 0.35-0.38 s with a leaf that calls `primitive_normalize(cross3(u, v))`.
+    The minors above R^3 are normalized inline the same way: sweeping the
+    104 count inputs of seed-1 rp-zaslavsky took 0.037-0.041 s this way and
+    0.044-0.052 s with dot products against the basis vectors and
+    `primitive_normalize` (fastest of 15, three alternating runs, same
+    host).  The R^2 case is reached only from RP^1 inputs.
     """
     if ambient == 2:
         return 2 * len(rows) or 1, max(rows.values(), default=0)
@@ -352,7 +343,22 @@ def _sweep(rows: dict[Vec, int], ambient: int) -> tuple[int, int]:
             m = max(m, weight + max(points.values(), default=0))
         return regions, m
     for i, (u, weight) in enumerate(items):
-        cut, through = _sweep(_traces(items[:i], _hyperplane_basis(u)), ambient - 1)
+        p = next(c for c, x in enumerate(u) if x)
+        up = u[p]
+        traces: dict[Vec, int] = {}
+        for v, w in items[:i]:
+            vp = v[p]
+            t = [up * vc - uc * vp for uc, vc in zip(u, v)]
+            del t[p]
+            g = gcd(*t)  # nonzero: v is not a multiple of u
+            for x in t:
+                if x:
+                    if x < 0:
+                        g = -g
+                    break
+            t = tuple([x // g for x in t])
+            traces[t] = traces.get(t, 0) + w
+        cut, through = _sweep(traces, ambient - 1)
         regions += cut
         m = max(m, weight + through)
     return regions, m

@@ -64,14 +64,11 @@ def plane_recipes(n: int) -> tuple[Recipe, ...]:
             break
         recipes.append(Recipe("double_pencil", (a, b, False), "projective", n, 2,
                               gn.double_pencil_count(a, b, False)))
-    for k in range(1, min(5, n - 2) + 1):
+    for k, programs in enumerate(gn.PENCIL_PROGRAMS[1:n - 1], start=1):
         q = n - k
-        for program in itertools.product(gn.PENCIL_ACTIONS, repeat=k):
-            predicted = gn.pencil_with_extras_count(q, program)
-            if predicted is None:
-                continue
+        for program, saving in programs:
             recipes.append(Recipe("pencil_extras", (q, program), "projective", n, 2,
-                                  predicted))
+                                  q * (k + 1) + k * (k - 1) // 2 - saving))
     recipes.append(Recipe("general_position", (n, 2), "projective", n, 2,
                           gn.general_position_count(n, 2)))
     return tuple(recipes)

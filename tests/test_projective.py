@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -73,6 +74,21 @@ class TestValidate:
     def test_duplicate_after_normalization(self):
         arr = ProjArrangement(2, ((1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert any(v.startswith("DuplicateHyperplane") for v in validate(arr))
+
+    def test_rank_deficient_pencil(self):
+        # five planes through the line x0 = x1 = 0 of RP^3, with a duplicate last
+        arr = ProjArrangement(3, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                                  (1, -1, 0, 0), (2, 1, 0, 0), (-1, 0, 0, 0)))
+        assert validate(arr) == ["DuplicateHyperplane: 0 and 5",
+                                 "CommonPoint: covector matrix rank below d+1"]
+
+    def test_full_rank_at_the_last_covector(self):
+        arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1)))
+        assert validate(arr) == []
+
+    def test_duplicates_found_past_full_rank(self):
+        arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, -2, 0)))
+        assert validate(arr) == ["DuplicateHyperplane: 1 and 4"]
 
     def test_count_refuses_invalid(self):
         arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0)))
@@ -253,16 +269,53 @@ class TestSweepAgainstReferences:
 
 
 class TestHyperplaneBasis:
-    @given(st.integers(2, 6).flatmap(lambda a: st.tuples(
+    @given(st.integers(4, 7).flatmap(lambda a: st.tuples(
         st.integers(0, a - 1), st.integers(-40, 40).filter(bool),
-        st.lists(st.integers(-40, 40), min_size=a, max_size=a))))
-    def test_spans_the_hyperplane(self, drawn):
+        st.lists(st.integers(-40, 40), min_size=a, max_size=a),
+        st.lists(st.lists(st.integers(-40, 40), min_size=a, max_size=a), max_size=6))))
+    @settings(deadline=None)
+    def test_minor_traces_equal_an_explicit_basis(self, drawn):
         # pivot at column p: zeros before it, a nonzero (often negative) entry on it
-        p, pivot, entries = drawn
+        p, pivot, entries, others = drawn
         u = tuple([0] * p + [pivot] + entries[p + 1:])
-        basis = pj._hyperplane_basis(u)
-        assert all(sum(a * b for a, b in zip(u, v)) == 0 for v in basis)
-        assert naive_rank(basis) == len(basis) == len(u) - 1
+        ambient = len(u)
+        key_u = primitive_normalize(u)
+        rows = {}
+        for v in others:
+            if any(v) and primitive_normalize(v) != key_u:
+                rows[primitive_normalize(v)] = 1 + len(rows)
+        # H = {u . x = 0} is spanned by the kernel of u, taken here column by
+        # column: x = u[p] e_c - u[c] e_p for each c != p
+        basis = [tuple(pivot if j == c else -u[c] if j == p else 0 for j in range(ambient))
+                 for c in range(ambient) if c != p]
+        assert all(sum(a * b for a, b in zip(u, x)) == 0 for x in basis)
+        assert naive_rank(basis) == ambient - 1
+        want = {}
+        for v, w in rows.items():
+            t = primitive_normalize([sum(a * b for a, b in zip(v, x)) for x in basis])
+            want[t] = want.get(t, 0) + w
+
+        seen = []
+        sweep = pj._sweep
+
+        def record(traces, amb):
+            seen.append((amb, traces))
+            return sweep(traces, amb)
+
+        rows[u] = 1
+        with patch.object(pj, "_sweep", record):
+            sweep(rows, ambient)
+        # the last restriction to R^(ambient-1) is onto H, the last row
+        assert [t for amb, t in seen if amb == ambient - 1][-1] == want
+
+    def test_equal_minor_traces_merge_their_weights(self):
+        # (1, 0, 0, 0) and (1, 0, 0, 1) leave the trace (1, 0, 0) on the last
+        # plane x3 = 0, so its point (0, 0, 1, 0) has weight 2 + 3 + 4 + 1 = 10;
+        # no other last plane sees more than 8 through one point
+        rows = {(1, 0, 0, 0): 2, (1, 0, 0, 1): 3, (0, 1, 0, 0): 4, (0, 0, 1, 0): 1,
+                (0, 0, 0, -1): 1}
+        central = 2 * count_regions_oracle(ProjArrangement(3, tuple(rows)))
+        assert pj._sweep(rows, 4) == (central, 10)
 
     def test_sweep_needs_no_general_solver(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -44,6 +45,19 @@ class TestSearchProjective:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             sp.search_projective(4, 1)
+
+
+@pytest.mark.parametrize("n", range(3, 30))
+def test_plane_catalogue_reads_every_feasible_program(n):
+    # the enumeration of every program by itertools.product, as before the table
+    want = []
+    for k in range(1, min(5, n - 2) + 1):
+        for program in itertools.product(gn.PENCIL_ACTIONS, repeat=k):
+            predicted = gn.pencil_with_extras_count(n - k, program)
+            if predicted is not None:
+                want.append(((n - k, program), predicted))
+    got = [(r.params, r.expected_f) for r in sp.plane_recipes(n) if r.family == "pencil_extras"]
+    assert got == want
 
 
 # sha256 over the outcome of every recipe of projective_recipes(9, 3), in the
