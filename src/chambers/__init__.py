@@ -41,7 +41,6 @@ from .projective import (
     characteristic_polynomial,
     count_regions_projective,
     max_point_multiplicity,
-    restrict_to_flat,
     validate,
 )
 from .spectrum import (
@@ -87,7 +86,6 @@ __all__ = [
     "max_point_multiplicity",
     "near_pencil",
     "pencil_with_extras",
-    "restrict_to_flat",
     "search_projective",
     "search_toric",
     "sign_vector_feasible",

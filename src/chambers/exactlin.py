@@ -7,16 +7,15 @@ Rationals occur only at the input boundary: `parse_rational` reads them,
 denominators before the row comes here.
 
 Elimination is fraction free (Bareiss, Math. Comp. 22, 1968): rows are kept
-primitive after every combination step, so intermediate entries stay small,
-and kernel vectors are solved in integers.  Pivoting is deterministic (first
-nonzero entry in row-major order), which makes echelon forms, ranks and
-kernel bases reproducible across runs.
+primitive after every combination step, so intermediate entries stay small.
+Pivoting is deterministic (first nonzero entry in row-major order), which
+makes echelon forms and ranks reproducible across runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -178,32 +177,3 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Exact rank over Q via fraction-free elimination."""
     return len(echelon_form(matrix))
 
-
-def kernel_basis(matrix: Sequence[Sequence[int]], ncols: int | None = None) -> list[Vec]:
-    """Basis of the right null space, as primitive integer vectors.
-
-    The basis comes from the reduced echelon form: one vector per free
-    column, in ascending column order, so the result is deterministic.  The
-    vector of free column c has no entry in the other free columns, so its
-    last nonzero entry is in column c.
-    """
-    rows = [r for r in matrix]
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    ech = echelon_form(rows)
-    pivots = [_pivot_col(r) for r in ech]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        # reduced form: each row only involves its pivot and free columns, so
-        # x[c] = the lcm of the pivots of the rows with r[c] != 0 makes every
-        # x[p] = -r[c] * x[c] / r[p] an integer
-        used = [(r, p) for r, p in zip(ech, pivots) if r[c]]
-        x = [0] * ncols
-        x[c] = lcm(*(r[p] for r, p in used))
-        for r, p in used:
-            x[p] = -r[c] * x[c] // r[p]
-        basis.append(primitive_normalize(x))
-    return basis

@@ -21,7 +21,9 @@ Projective families (all exact integer covectors):
   base count.
 * two_extra_planes / three_extra_planes: a cone over a plane base plus two
   or three extra planes with controlled trace coincidences; these realize
-  the odd-slope members of the low spectrum in RP^3.
+  the odd-slope members of the low spectrum in RP^3.  Every line they place
+  comes from a scan, or from the pencil of two scanned lines, so no
+  generator solves a linear system.
 
 Toric families: k coordinate subtori plus parallel translates (count n-k),
 and coordinate subtori plus a sloped geodesic with parallels (count
@@ -33,10 +35,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from typing import Iterable, Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
-from .exactlin import Vec, cross3, dot, kernel_basis, primitive_normalize, primitive_scale
+from .exactlin import Vec, cross3, dot, primitive_normalize
 from .projective import ProjArrangement, validate
 from .toric import Subtorus, ToricArrangement
 
@@ -115,30 +117,36 @@ class _PlaneBuilder:
         return len(self.lines) - sum(
             self.multiplicity(a) - 1 for a in anchors if a in self.points)
 
-    def scan_line_through(self, anchors: Sequence[Vec], expected_new_points: int) -> Vec:
-        """The first of up to 2001 candidate lines through the anchors that is
-        not placed and meets the placed lines in `expected_new_points` points.
+    def lines_through(self, anchors: Sequence[Vec], expected_new_points: int) -> Iterator[Vec]:
+        """Each of up to 2001 candidate lines through the anchors that is not
+        placed and meets the placed lines in `expected_new_points` points.
 
         Every candidate passes through every anchor, so it crosses at most
         `crossing_bound(anchors)` = len(lines) - sum(mu - 1) lines, mu being
-        each anchor's multiplicity: a request above that bound raises before
-        any candidate is tried, and a line that meets it passes through no
+        each anchor's multiplicity: a request above that bound yields nothing
+        and tries no candidate, and a line that meets it passes through no
         crossing but the anchors.
         """
         if len(anchors) > 2:
             raise PlacementError("a line passes through at most two chosen points")
+        if expected_new_points > self.crossing_bound(anchors):
+            return
         if len(anchors) == 2:
             candidates: Iterable[Vec] = [cross3(anchors[0], anchors[1])]
         elif len(anchors) == 1:
             candidates = (cross3(anchors[0], (1, t, t * t)) for t in itertools.count(1))
         else:
             candidates = ((t * t + 1, t, 1) for t in itertools.count(1))
-        if expected_new_points <= self.crossing_bound(anchors):
-            for cand in itertools.islice(candidates, 2001):
-                if any(cand):
-                    line = primitive_normalize(cand)
-                    if line not in self.lines and self.crossings(line) == expected_new_points:
-                        return line
+        for cand in itertools.islice(candidates, 2001):
+            if any(cand):
+                line = primitive_normalize(cand)
+                if line not in self.lines and self.crossings(line) == expected_new_points:
+                    yield line
+
+    def scan_line_through(self, anchors: Sequence[Vec], expected_new_points: int) -> Vec:
+        """The first line `lines_through` gives."""
+        for line in self.lines_through(anchors, expected_new_points):
+            return line
         raise PlacementError("no admissible line found for the requested anchors")
 
 
@@ -269,34 +277,30 @@ def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:
     if savings is None:
         raise PlacementError(f"program {program!r} is not realizable")
     builder = _PlaneBuilder((i, 1, 0) for i in range(q))
-    stack_point: Vec | None = None
-    extras_start = q
+    # a cross anchor on the stack point would leave a later stack above its bound
+    reserved: set[Vec] = set()
     for i, action in enumerate(program):
         expected = q + i - savings[i]
         if action == "fresh":
             line = builder.scan_line_through([], expected)
         elif action == "cross1":
-            anchor = _first_simple_point(builder, forbid_lines=set())
+            anchor = _first_simple_point(builder, forbid_lines=set(), avoid=reserved)
             line = builder.scan_line_through([anchor], expected)
         elif action == "cross2":
-            first = _first_simple_point(builder, forbid_lines=set())
+            first = _first_simple_point(builder, forbid_lines=set(), avoid=reserved)
             second = _first_simple_point(
-                builder, forbid_lines=builder.points[first], avoid={first})
+                builder, forbid_lines=builder.points[first], avoid=reserved)
             line = builder.scan_line_through([first, second], expected)
         elif action == "stack":
-            if stack_point is None:
-                stack_point = primitive_normalize(
-                    cross3(builder.lines[extras_start], builder.lines[0]))
             line = builder.scan_line_through([stack_point], expected)
         else:  # stack_cross
-            if stack_point is None:
-                stack_point = primitive_normalize(
-                    cross3(builder.lines[extras_start], builder.lines[0]))
-            other = _first_simple_point(
-                builder, forbid_lines=builder.points[stack_point],
-                avoid={stack_point})
+            other = _first_simple_point(builder, forbid_lines=builder.points[stack_point])
             line = builder.scan_line_through([stack_point, other], expected)
         builder.place(line)
+        if i == 0:  # the first extra is fresh: it misses the apex
+            stack_point = primitive_normalize(cross3(line, builder.lines[0]))
+            if {"stack", "stack_cross"} & set(program):
+                reserved.add(stack_point)
     arr = ProjArrangement(2, tuple(builder.lines))
     if validate(arr):
         raise PlacementError("pencil-with-extras construction degenerated")
@@ -465,13 +469,14 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
     """Cone over a plane base plus three planes off the apex.
 
     The three extra planes are the base coordinate plane and two planes
-    whose base traces are the lines w2 and w3; their mutual intersection
-    projects to the difference line w2 - w3.  The anchor counts (s2, s3,
-    s23) say how many existing crossings each of w2, w3 and w2 - w3 must
-    absorb, which walks the count 4 f(base) + 3 n + 1 downward in steps of
-    one.  Built in two stages: w3 is scanned first, then w2 is solved from
-    exact linear conditions, so the difference line can be anchored both on
-    base crossings and on crossings of w3 itself.
+    whose base traces are the lines w2 and w3; seen from the apex, their
+    mutual intersection is a line omega of the pencil spanned by w2 and w3.
+    The anchor counts (s2, s3, s23) say how many existing crossings each of
+    w2, w3 and omega must absorb, which walks the count 4 f(base) + 3 n + 1
+    downward in steps of one.  w3 is scanned over the base, omega over the
+    base and w3, so it can be anchored on base crossings and on crossings
+    of w3; w2 is then a line of the pencil of omega and w3, through its
+    anchor when s2 = 1, and no linear system is solved.
     """
     if base.d != 2:
         raise PlacementError("the base must be a plane arrangement")
@@ -479,7 +484,6 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
         raise PlacementError("supported anchor counts: s2, s3 <= 1, s23 <= 2")
     builder = _PlaneBuilder(base.covectors)
     doubles = builder.double_points()
-    base_set = set(builder.lines)
     n2 = base.n
 
     if len(doubles) < s2 + s3 + s23:
@@ -487,101 +491,48 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
     a3 = doubles[:s3]
     w3 = builder.scan_line_through(list(a3), n2 - s3)
 
-    # anchor pool for w2 and the difference line, taken off w3; anchors that
-    # share a new line (the two difference anchors) must not share a base line
+    # anchors of w2 and omega, taken off w3
     pool = [p for p in doubles if p not in a3 and dot(w3, p) != 0]
     if len(pool) < s2 + (1 if s23 else 0):
         raise PlacementError("anchor pool exhausted")
-
-    conditions: list[tuple[Vec, int]] = []  # rows: w2 . row = rhs
-    taken = 0
-    if s2:
-        conditions.append((pool[0], 0))
-        taken = 1
-    z1 = None
-    if s23 >= 1:
-        z1 = pool[taken]
-        conditions.append((z1, dot(w3, z1)))
+    z1 = pool[s2:s2 + 1] if s23 else []
+    anchor_sets: Iterable[list[Vec]] = [z1]
     if s23 == 2:
-        # second difference anchor on a crossing of w3 with a base line; the
-        # difference condition is then homogeneous in w2 since w3 . z2 = 0
-        z2 = None
-        z1_lines = builder.points[z1]
-        for idx, line in enumerate(builder.lines):
-            if idx in z1_lines:
-                continue
-            p = cross3(w3, line)
-            if not any(p):
-                continue
-            p = primitive_normalize(p)
-            if builder.multiplicity(p) == 0 and all(
-                    dot(c[0], p) != 0 for c in conditions):
-                z2 = p
-                break
-        if z2 is None:
-            raise PlacementError("no admissible crossing of w3 for the second anchor")
-        conditions.append((z2, 0))
+        # the second omega anchor is the crossing of w3 with a base line; the
+        # crossing bound refuses a base crossing and a line through z1
+        anchor_sets = (z1 + [primitive_normalize(cross3(w3, line))] for line in builder.lines)
 
     # a new line in RP^2 adds one region per distinct point it crosses, so
     # these counts give f(base + w2) = f(base) + n - s2 and, with the scan's
     # n - s3 for w3, f(base + w3 + omega) = f(base) + (n - s3) + (n + 1 - s23)
     with_w3 = _PlaneBuilder(builder.lines + [w3])
-    for w2 in _affine_scan(conditions):
-        if not any(w2):
-            continue
-        w2n = primitive_normalize(w2)
-        omega = tuple(a - b for a, b in zip(w2, w3))
-        if not any(omega):
-            continue
-        omega_n = primitive_normalize(omega)
-        if len({w2n, w3, omega_n}) < 3 or {w2n, omega_n} & base_set:
-            continue
-        if builder.crossings(w2n) != n2 - s2:
-            continue
-        if with_w3.crossings(omega_n) != n2 + 1 - s23:
-            continue
-        covs = [u + (0,) for u in builder.lines]
-        covs.append((0, 0, 0, 1))
-        covs.append(tuple(w2) + (1,))
-        covs.append(tuple(w3) + (1,))
-        arr = ProjArrangement(3, tuple(covs))
-        if validate(arr):
-            continue
-        return arr
+    for anchors in anchor_sets:
+        for omega in with_w3.lines_through(anchors, n2 + 1 - s23):
+            # the planes (w2, b) and (w3, 1) meet above omega = w2 - b w3
+            if s2:
+                # omega misses every crossing but its anchors, so omega . p != 0
+                p = pool[0]
+                b = -dot(omega, p)
+                w2 = tuple(dot(w3, p) * o + b * w for o, w in zip(omega, w3))
+            else:
+                b = 1
+                w2 = tuple(o + w for o, w in zip(omega, w3))
+            w2n = primitive_normalize(w2)
+            if w2n in builder.lines or builder.crossings(w2n) != n2 - s2:
+                continue
+            covs = [u + (0,) for u in builder.lines]
+            covs.append((0, 0, 0, 1))
+            covs.append(w2 + (b,))
+            covs.append(w3 + (1,))
+            arr = ProjArrangement(3, tuple(covs))
+            if not validate(arr):
+                return arr
     raise PlacementError(f"no placement found for anchors ({s2}, {s3}, {s23})")
 
 
 def three_extra_planes_count(base_count: int, base_n: int,
                              s2: int, s3: int, s23: int) -> int:
     return 4 * base_count + 3 * base_n + 1 - s2 - s3 - s23
-
-
-def _affine_scan(conditions: list[tuple[Vec, int]]):
-    """Integer solutions w2 of the conditions up to scale, swept deterministically.
-
-    A w = rhs iff (w, 1) is in the kernel of [A | -rhs], so the system is
-    consistent iff the last column is free.  The kernel vector b_c of free
-    column c has its last nonzero entry in column c; every b_c is scaled so
-    that this entry is the same positive L.  Free column c of w is set to a
-    parameter by adding param * b_c; the first 3 - len(conditions)
-    parameters are swept over an integer grid, the rest are 1.  Each yielded
-    w is the first three entries of the primitive form of (w, L), so
-    a . w = s * rhs for one s > 0 shared by every condition (a, rhs).
-    """
-    basis = kernel_basis([tuple(a) + (-rhs,) for a, rhs in conditions], 4)
-    if not basis or not basis[-1][3]:
-        return  # the last column is a pivot: inconsistent
-    lasts = [[y for y in b if y][-1] for b in basis]
-    scale = lcm(*lasts)
-    *free, particular = [tuple(x * (scale // last) for x in b) for b, last in zip(basis, lasts)]
-    free_dim = 3 - len(conditions)
-    for trial in range(1, (400 if free_dim > 0 else 1) + 1):
-        params = [trial, trial * trial + 1, 1 - trial][:max(free_dim, 0)]
-        params += [1] * (len(free) - len(params))
-        w = particular
-        for p, b in zip(params, free):
-            w = tuple(wi + p * bi for wi, bi in zip(w, b))
-        yield primitive_scale(w)[:3]
 
 
 # ---------------------------------------------------------------------------

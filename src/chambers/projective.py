@@ -12,8 +12,8 @@ arrangements*, Lecture 2); antipodal identification halves the central count.
 The sweep restricts to a hyperplane u with no elimination: in the basis
 u[p] e_c - u[c] e_p of {u . x = 0} (c != p, u[p] the first nonzero entry
 of u) the trace of v is its vector of 2x2 minors u[p] v[c] - u[c] v[p], and
-in R^3 each trace point is a cross product, both written inline; the
-general solver `kernel_basis` stays for flats of the poset.
+in R^3 each trace point is a cross product, both written inline.
+`SWEEP_GUARD` caps the sweep's work, which grows as n * sum_{k<d} C(n, k).
 
 The intersection poset is the independent reference the tests compare the
 sweep with, through its characteristic polynomial and Zaslavsky's theorem.
@@ -32,21 +32,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
-from operator import mul
-from typing import Iterable, Sequence
+from math import comb, gcd
+from typing import Sequence
 
 from .exactlin import (
     Vec,
     echelon_form,
     echelon_insert,
     json_field,
-    kernel_basis,
     parse_int,
     parse_int_vector,
     primitive_normalize,
     primitive_scale,
 )
+from .feasibility import TooLargeError
+
+# n * sum_{k<d} C(n, k) tracks the sweep's time at 2-3 M units/s for general
+# position inputs with d = 2..8 and for coordinate hyperplanes (2-CPU Linux
+# host), so this is about one second of work
+SWEEP_GUARD = 2_500_000
 
 
 class ValidationError(ValueError):
@@ -55,10 +59,6 @@ class ValidationError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
-
-
-class FlatTooSmallError(ValueError):
-    """Restriction target must have subspace dimension at least 2."""
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,6 @@ class Flat:
     subspace_dim: int
     parents: tuple[int, ...]
     mobius: int
-
-    def defining_basis(self, ambient: int) -> list[Vec]:
-        """Primitive integer basis of the flat's central subspace."""
-        if not self.echelon:
-            return [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-        return kernel_basis(self.echelon, ambient)
 
 
 @dataclass(frozen=True)
@@ -266,38 +260,21 @@ def evaluate_poly(coeffs: Sequence[int], t: int) -> int:
 
 def count_regions_projective(arr: ProjArrangement) -> int:
     """Number of open d-cells of RP^d cut out by the arrangement."""
-    ensure_valid(arr)
-    return _sweep(dict.fromkeys(arr.covectors, 1), arr.d + 1)[0] // 2
+    return _guarded_sweep(arr)[0] // 2
 
 
 def max_point_multiplicity(arr: ProjArrangement) -> int:
     """m: the largest number of hyperplanes through one projective point."""
+    return _guarded_sweep(arr)[1]
+
+
+def _guarded_sweep(arr: ProjArrangement) -> tuple[int, int]:
+    """`_sweep` of a valid arrangement within `SWEEP_GUARD`."""
     ensure_valid(arr)
-    return _sweep(dict.fromkeys(arr.covectors, 1), arr.d + 1)[1]
-
-
-def restrict_to_flat(arr: ProjArrangement, flat: Flat) -> ProjArrangement:
-    """Induced arrangement on a flat, in coordinates from its kernel basis."""
-    if flat.subspace_dim < 2:
-        raise FlatTooSmallError(
-            f"flat has subspace dimension {flat.subspace_dim}; need >= 2")
-    traces = _traces(((u, 1) for u in arr.covectors), flat.defining_basis(arr.d + 1))
-    return ProjArrangement(flat.subspace_dim - 1, tuple(traces))
-
-
-def _traces(rows: Iterable[tuple[Vec, int]], basis: Sequence[Vec]) -> dict[Vec, int]:
-    """Traces (u . b for b in basis) of weighted covectors u on span(basis).
-
-    Covectors containing the subspace leave no trace; equal traces merge,
-    in order of first appearance, and add their weights.
-    """
-    out: dict[Vec, int] = {}
-    for u, weight in rows:
-        w = tuple([sum(map(mul, u, b)) for b in basis])
-        if any(w):
-            w = primitive_normalize(w)
-            out[w] = out.get(w, 0) + weight
-    return out
+    if arr.n * sum(comb(arr.n, k) for k in range(arr.d)) > SWEEP_GUARD:
+        raise TooLargeError(
+            f"n = {arr.n} in RP^{arr.d} exceeds the sweep guard of {SWEEP_GUARD} units")
+    return _sweep(dict.fromkeys(arr.covectors, 1), arr.d + 1)
 
 
 def _sweep(rows: dict[Vec, int], ambient: int) -> tuple[int, int]:

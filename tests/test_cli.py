@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,19 @@ class TestCount:
         dump_toric(ToricArrangement.make(2, [((1, 10 ** 6), 0), ((1, -10 ** 6), 0)]),
                    str(path))
         code = main(["count", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_oversize_projective_is_usage_error(self, capsys, tmp_path):
+        # the 25 coordinate hyperplanes of RP^24 would sweep for minutes
+        path = tmp_path / "huge.json"
+        coords = tuple(tuple(int(i == j) for j in range(25)) for i in range(25))
+        dump_arrangement(ProjArrangement(24, coords), str(path))
+        start = time.perf_counter()
+        code = main(["count", str(path)])
+        assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -45,35 +45,6 @@ class TestRank:
         assert ex.rank(matrix) == expected
 
 
-class TestKernelBasis:
-    def test_two_coordinate_rows(self):
-        assert ex.kernel_basis([(1, 0, 0), (0, 1, 0)]) == [(0, 0, 1)]
-
-    def test_single_row_dim3(self):
-        basis = ex.kernel_basis([(1, 1, 1)])
-        assert len(basis) == 2
-        for v in basis:
-            assert ex.dot(v, (1, 1, 1)) == 0
-
-    def test_full_rank_empty_kernel(self):
-        assert ex.kernel_basis([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == []
-
-    @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
-                    min_size=1, max_size=5))
-    @settings(deadline=None)
-    def test_rank_nullity(self, matrix):
-        r = ex.rank(matrix)
-        basis = ex.kernel_basis(matrix, ncols=4)
-        assert r + len(basis) == 4
-        pivots = {next(i for i, x in enumerate(e) if x) for e in ex.echelon_form(matrix)}
-        free = [c for c in range(4) if c not in pivots]
-        assert [max(i for i, x in enumerate(v) if x) for v in basis] == free
-        for v in basis:
-            assert ex.primitive_normalize(v) == v
-            for row in matrix:
-                assert ex.dot(row, v) == 0
-
-
 class TestEchelon:
     @given(st.permutations([(1, 2, 0, 5), (0, 1, 1, 1), (3, 0, 0, -2)]))
     def test_canonical_under_row_order(self, rows):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chambers import generators as gn
 from chambers import projective as pj
 from chambers import spectrum as sp
-from chambers.exactlin import cross3, dot, primitive_normalize, rank
+from chambers.exactlin import cross3, dot, primitive_normalize
 from chambers.oracle import count_regions_oracle
 from chambers.projective import count_regions_projective, max_point_multiplicity, validate
 from chambers.toric import count_regions_toric
@@ -57,6 +57,10 @@ class TestPencilWithExtras:
         (4, ("fresh", "stack", "stack")),
         (5, ("fresh", "fresh", "stack_cross")),
         (4, ("fresh", "fresh", "cross2", "cross1")),
+        # with q = 3 the stack point is the first double point, so a cross1
+        # anchored there would leave the later stack above its bound
+        (3, ("fresh", "cross1", "stack")),  # f = 13
+        (3, ("fresh", "cross1", "fresh", "stack_cross")),  # f = 18
     ])
     def test_predicted_count_matches(self, q, program):
         predicted = gn.pencil_with_extras_count(q, program)
@@ -200,6 +204,13 @@ class TestThreeExtraPlanes:
         assert arr.n == 11
         assert count_regions_projective(arr) == expected
 
+    @pytest.mark.parametrize("n", range(8, 16))
+    def test_every_catalogued_anchor_triple_builds(self, n):
+        recipes = [r for r in sp.projective_recipes(n, 3) if r.family == "three_extra"]
+        assert {r.params[1:] for r in recipes} == set(itertools.product((0, 1), (0, 1), (0, 1, 2)))
+        for recipe in recipes:
+            assert sp.count_recipe(recipe) == recipe.expected_f
+
     def test_multiplicity_is_n_minus_3(self):
         base = gn.near_pencil(8)
         arr = gn.three_extra_planes(base, 0, 0, 0)
@@ -263,6 +274,24 @@ class TestScanLineThrough:
         assert tried
 
 
+    def test_no_catalogue_scan_asks_above_its_bound(self, monkeypatch):
+        above = []
+        scan = gn._PlaneBuilder.scan_line_through
+
+        def record(builder, anchors, expected_new_points):
+            if expected_new_points > builder.crossing_bound(anchors):
+                above.append((anchors, expected_new_points))
+            return scan(builder, anchors, expected_new_points)
+
+        monkeypatch.setattr(gn._PlaneBuilder, "scan_line_through", record)
+        for recipe in sp.projective_recipes(10, 3):
+            try:
+                sp.build_recipe(recipe)
+            except gn.PlacementError:
+                pass
+        assert above == []
+
+
 @given(st.lists(VEC3, min_size=2, max_size=6), st.data())
 @settings(deadline=None, max_examples=200)
 def test_scan_meets_no_crossing_but_its_anchors(free, data):
@@ -282,25 +311,6 @@ def test_scan_meets_no_crossing_but_its_anchors(free, data):
     assert {p for p in builder.points if dot(line, p) == 0} == set(anchors)
     with pytest.raises(gn.PlacementError):
         builder.scan_line_through(anchors, bound + 1)
-
-
-@given(st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * 3), st.integers(-6, 6)),
-                max_size=3))
-@settings(deadline=None, max_examples=300)
-def test_affine_scan_solves_up_to_one_positive_scale(conditions):
-    solutions = list(itertools.islice(gn._affine_scan(conditions), 25))
-    consistent = rank([a for a, _ in conditions]) == rank([a + (r,) for a, r in conditions])
-    assert bool(solutions) == consistent
-    for w in solutions:
-        scales = set()
-        for a, rhs in conditions:
-            lhs = dot(a, w)
-            if rhs:
-                assert lhs % rhs == 0
-                scales.add(lhs // rhs)
-            else:
-                assert lhs == 0
-        assert len(scales) <= 1 and all(s > 0 for s in scales)
 
 
 class TestToricConstructionA:

