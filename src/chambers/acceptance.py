@@ -63,9 +63,8 @@ def _catalog_small() -> list:
     for n in (5, 7, 9):
         recipes.extend(sp.plane_recipes(n)[:14])
     for n, d in ((7, 3), (9, 3), (11, 3), (10, 4), (12, 4)):
-        cat = sp.projective_recipes(n, d)
         seen = set()
-        for r in cat:
+        for r in sp._catalogue(n, d, None):
             if r.expected_f in seen:
                 continue
             seen.add(r.expected_f)

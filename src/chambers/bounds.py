@@ -207,7 +207,7 @@ def martinov_subset(n: int) -> set[int]:
     are pairwise distinct for n >= 8 (3n-5 = 4n-12 at n = 7).
     """
     if n < 7:
-        raise ValueError("need n >= 7")
+        raise OutOfTheoremRangeError(f"(n, d) = ({n}, 2) outside d = 2, n >= 7")
     return {2 * n - 2, 3 * n - 6, 3 * n - 5, 4 * n - 12}
 
 

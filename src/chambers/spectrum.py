@@ -1,11 +1,14 @@
 """Search harness: which region counts do the generator families realize?
 
 The search is recipe driven.  Every candidate arrangement comes from a
-named constructive family with a closed-form predicted count, recipes are
-enumerated in a fixed order, and one witness per distinct predicted value
-within the cap is built and counted exactly.  A mismatch between the
-prediction and the exact count raises (it would mean a generator bug), so
-every reported value is backed by a verified witness.
+named constructive family with a closed-form predicted count.  One
+generator, `_catalogue`, fixes the order of the recipes; it computes each
+prediction before it builds the recipe, so a search walks only the recipes
+at or below its cap and stops as soon as its budget is spent.  One witness
+per distinct predicted value within the cap is built and counted exactly.
+A mismatch between the prediction and the exact count raises (it would
+mean a generator bug), so every reported value is backed by a verified
+witness.
 
 Reports compare the found set against the package's predicted spectra
 (`chambers.bounds`): `missing_predicted` lists predicted values with no
@@ -42,82 +45,101 @@ class RecipeMismatchError(RuntimeError):
 # recipe catalogues
 
 
+TWO_EXTRA_BASE_MODES = (0, 1, 2)
+
+
+def _catalogue(n: int, d: int, cap: int | None):
+    """Yield the (n, d) catalogue in its fixed order, leaving out every recipe
+    that predicts above `cap` before building it; `cap=None` yields them all.
+
+    In RP^2: double pencils, then every feasible pencil program, then general
+    position.  Above it: cones over the (n-1, d-1) catalogue, in RP^3 the two-
+    and three-extra planes over plane bases, then general position.  Several
+    recipes may predict the same count; the later ones are the fallbacks
+    `_fill_report` tries when an earlier one raises PlacementError.
+
+    Each sub-catalogue is walked under the cap its bases must meet.  A cone
+    predicts 2φ, so its bases are walked under cap // 2.  A two-extra recipe
+    predicts 3φ + n - 2 - c with c at most the base's line count n - 2 (3φ
+    itself for line_in_union), so its bases are walked under cap // 3.
+    """
+    def fits(f: int) -> bool:
+        return cap is None or f <= cap
+
+    def base_cap(factor: int) -> int | None:
+        return None if cap is None else cap // factor
+
+    if d == 2:
+        if n < 3:
+            return
+        for a in range(2, n):
+            b = n + 1 - a
+            if b < a:
+                break
+            f = gn.double_pencil_count(a, b, True)
+            if fits(f):
+                yield Recipe("double_pencil", (a, b, True), "projective", n, 2, f)
+        for a in range(2, n):
+            b = n - a
+            if b < a:
+                break
+            f = gn.double_pencil_count(a, b, False)
+            if fits(f):
+                yield Recipe("double_pencil", (a, b, False), "projective", n, 2, f)
+        for k, programs in enumerate(gn.PENCIL_PROGRAMS[1:n - 1], start=1):
+            q = n - k
+            for program, saving in programs:
+                f = q * (k + 1) + k * (k - 1) // 2 - saving
+                if fits(f):
+                    yield Recipe("pencil_extras", (q, program), "projective", n, 2, f)
+    else:
+        for base in _catalogue(n - 1, d - 1, base_cap(2)):
+            yield Recipe("cone", (base,), "projective", n, d, 2 * base.expected_f)
+        if d == 3:
+            n2 = n - 2
+            for base in _catalogue(n2, 2, base_cap(3)):
+                phi = base.expected_f
+                yield Recipe("two_extra", (base, "line_in_union", 0), "projective",
+                             n, d, gn.two_extra_planes_count(phi, n2, line_in_union=True))
+                modes = set(TWO_EXTRA_BASE_MODES)
+                if base.family == "double_pencil":
+                    a, b, _ = base.params
+                    modes.update((a - 1, b - 1, a + b - 2))
+                elif base.family == "pencil_extras":
+                    q = base.params[0]
+                    modes.update((q - 1, q))
+                for c in sorted(modes):
+                    f = gn.two_extra_planes_count(phi, n2, coincidences=c)
+                    if fits(f):
+                        yield Recipe("two_extra", (base, "coincidences", c),
+                                     "projective", n, d, f)
+            if n - 3 >= 3:
+                n2 = n - 3
+                phi = gn.double_pencil_count(2, n2 - 1, True)
+                base = Recipe("double_pencil", (2, n2 - 1, True), "projective",
+                              n2, 2, phi)
+                for s2, s3, s23 in itertools.product((0, 1), (0, 1), (0, 1, 2)):
+                    f = gn.three_extra_planes_count(phi, n2, s2, s3, s23)
+                    if fits(f):
+                        yield Recipe("three_extra", (base, s2, s3, s23),
+                                     "projective", n, d, f)
+    f = gn.general_position_count(n, d)
+    if fits(f):
+        yield Recipe("general_position", (n, d), "projective", n, d, f)
+
+
 @lru_cache(maxsize=None)
 def plane_recipes(n: int) -> tuple[Recipe, ...]:
-    """Plane families at exactly n lines, every feasible program kept.
-
-    Several recipes may predict the same count; the later ones are the
-    fallbacks `_fill_report` tries when an earlier one raises PlacementError.
-    """
-    if n < 3:
-        return ()
-    recipes: list[Recipe] = []
-    for a in range(2, n):
-        b = n + 1 - a
-        if b < a:
-            break
-        recipes.append(Recipe("double_pencil", (a, b, True), "projective", n, 2,
-                              gn.double_pencil_count(a, b, True)))
-    for a in range(2, n):
-        b = n - a
-        if b < a:
-            break
-        recipes.append(Recipe("double_pencil", (a, b, False), "projective", n, 2,
-                              gn.double_pencil_count(a, b, False)))
-    for k, programs in enumerate(gn.PENCIL_PROGRAMS[1:n - 1], start=1):
-        q = n - k
-        for program, saving in programs:
-            recipes.append(Recipe("pencil_extras", (q, program), "projective", n, 2,
-                                  q * (k + 1) + k * (k - 1) // 2 - saving))
-    recipes.append(Recipe("general_position", (n, 2), "projective", n, 2,
-                          gn.general_position_count(n, 2)))
-    return tuple(recipes)
-
-
-TWO_EXTRA_BASE_MODES = (0, 1, 2)
+    """The whole plane catalogue at n lines, every feasible program kept."""
+    return tuple(_catalogue(n, 2, None))
 
 
 @lru_cache(maxsize=None)
 def projective_recipes(n: int, d: int) -> tuple[Recipe, ...]:
-    """Catalogue at (n, d): plane families, cones, and multi-extra cones."""
-    if d == 2:
-        return plane_recipes(n)
-    recipes: list[Recipe] = []
-    for base in projective_recipes(n - 1, d - 1):
-        if base.expected_f is None:
-            continue
-        recipes.append(Recipe("cone", (base,), "projective", n, d,
-                              2 * base.expected_f))
-    if d == 3:
-        for base in plane_recipes(n - 2):
-            if base.expected_f is None:
-                continue
-            phi, n2 = base.expected_f, n - 2
-            recipes.append(Recipe(
-                "two_extra", (base, "line_in_union", 0), "projective", n, d,
-                gn.two_extra_planes_count(phi, n2, line_in_union=True)))
-            modes = set(TWO_EXTRA_BASE_MODES)
-            if base.family == "double_pencil":
-                a, b, _ = base.params
-                modes.update((a - 1, b - 1, a + b - 2))
-            elif base.family == "pencil_extras":
-                q = base.params[0]
-                modes.update((q - 1, q))
-            for c in sorted(modes):
-                recipes.append(Recipe(
-                    "two_extra", (base, "coincidences", c), "projective", n, d,
-                    gn.two_extra_planes_count(phi, n2, coincidences=c)))
-        if n - 3 >= 3:
-            base = Recipe("double_pencil", (2, n - 4, True), "projective",
-                          n - 3, 2, gn.double_pencil_count(2, n - 4, True))
-            phi, n2 = base.expected_f, n - 3
-            for s2, s3, s23 in itertools.product((0, 1), (0, 1), (0, 1, 2)):
-                recipes.append(Recipe(
-                    "three_extra", (base, s2, s3, s23), "projective", n, d,
-                    gn.three_extra_planes_count(phi, n2, s2, s3, s23)))
-    recipes.append(Recipe("general_position", (n, d), "projective", n, d,
-                          gn.general_position_count(n, d)))
-    return tuple(recipes)
+    """The whole (n, d) catalogue: plane families, cones, and multi-extra
+    cones.  A search walks `_catalogue` under its cap instead, so it never
+    builds the recipes it could not count."""
+    return tuple(_catalogue(n, d, None))
 
 
 def build_recipe(recipe: Recipe):
@@ -199,39 +221,34 @@ class SpectrumReport:
 
 
 def _projective_rule(n: int, d: int, cap: int | None):
+    """The spectrum rule a search at (n, d) is checked against.  Raises
+    OutOfTheoremRangeError outside the rule's range, before anything is built."""
     if d == 2:
-        rule_cap = 4 * n - 12
-        predicted = sorted(bd.martinov_subset(n)) if n >= 7 else []
-        member = lambda f: f in bd.martinov_subset(n)
-        name = "martinov"
+        name, rule_cap, values = "martinov", 4 * n - 12, sorted(bd.martinov_subset(n))
     elif d == 3 and n >= 50:
-        rule_cap = bd.low_range_cap_3d(n)
-        predicted = bd.low_counts_3d(n)
-        member = lambda f: f in set(bd.low_counts_3d(n))
-        name = "low_range_3d"
+        name, rule_cap, values = "low_range_3d", bd.low_range_cap_3d(n), bd.low_counts_3d(n)
     else:
-        rule_cap = bd.first_four_cap(n, d)
-        predicted = bd.first_four_counts(n, d)
-        member = lambda f: f in set(bd.first_four_counts(n, d))
-        name = "first_four"
+        name, rule_cap, values = "first_four", bd.first_four_cap(n, d), bd.first_four_counts(n, d)
     if cap is None:
         cap = rule_cap
-    return name, cap, [v for v in predicted if v <= cap], member
+    return name, cap, [v for v in values if v <= cap], set(values).__contains__
 
 
 def search_projective(n: int, d: int, budget: int | None = None,
                       cap: int | None = None) -> SpectrumReport:
-    """Enumerate the projective catalogue at (n, d) and compare spectra.
+    """Walk the projective catalogue at (n, d) under the cap and compare spectra.
 
     One witness per distinct predicted count at or below the cap is counted
-    exactly; recipes predicting above the cap are skipped.  `budget` caps
-    the number of exact counts; hitting it flags the report as partial.
+    exactly.  The walk is lazy: `_catalogue` never builds a recipe that
+    predicts above the cap, and it stops as soon as `budget` exact counts
+    are spent, which flags the report as partial.  The result is the same
+    as a scan of the whole `projective_recipes(n, d)`.
     """
     if d < 2 or n < d + 2:
         raise ValueError("need d >= 2 and n >= d+2")
     rule, cap_val, predicted, member = _projective_rule(n, d, cap)
     report = SpectrumReport("projective", n, d, cap_val, rule)
-    return _fill_report(report, projective_recipes(n, d), budget, predicted, member)
+    return _fill_report(report, _catalogue(n, d, cap_val), budget, predicted, member)
 
 
 def search_toric(n: int, d: int, budget: int | None = None,

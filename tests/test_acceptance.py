@@ -5,9 +5,12 @@ and each test asserts its criterion's verdict, so a red criterion points
 straight at the failing requirement.
 """
 
+import hashlib
+
 import pytest
 
-from chambers.acceptance import battery_exit_code, run_battery
+from chambers import spectrum as sp
+from chambers.acceptance import _catalog_small, battery_exit_code, run_battery
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +21,20 @@ def battery():
 
 def _get(battery, number, required=True):
     return battery[(number, required)]
+
+
+# sha256 over the describe() strings of c1's catalogue, one per line, as
+# taken from the whole catalogues.
+CATALOG_SMALL = "8b27bef8d972dc398ccf56c3b39fecb5a74e9d7b55d1b1bf0930f329a1f0c5ca"
+
+
+def test_c1_catalogue_stops_early_and_is_unchanged(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"built the whole catalogue at {args}")
+    monkeypatch.setattr(sp, "projective_recipes", refuse)
+    described = [r.describe() for r in _catalog_small()]
+    assert len(described) == 106
+    assert hashlib.sha256("\n".join(described).encode()).hexdigest() == CATALOG_SMALL
 
 
 def test_criterion_1_oracle_equivalence(battery):

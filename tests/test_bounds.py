@@ -163,6 +163,10 @@ class TestMartinovSubset:
     def test_collision_at_7(self):
         assert bd.martinov_subset(7) == {12, 15, 16}
 
+    def test_below_threshold(self):
+        with pytest.raises(bd.OutOfTheoremRangeError, match=r"\(n, d\) = \(6, 2\)"):
+            bd.martinov_subset(6)
+
 
 class TestToricSpectrum:
     def test_n4_d2(self):

@@ -297,6 +297,13 @@ class TestSearch:
         assert [line.split(",")[0] for line in lines[1:]] == ["18", "24", "25", "28"]
         assert all(line.endswith(",True") for line in lines[1:])
 
+    def test_plane_below_martinov_range_is_usage_error(self, capsys):
+        code = main(["search", "--space", "projective", "-n", "6", "-d", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: (n, d) = (6, 2) outside")
+
 
 class TestVerifyAcceptance:
     def test_single_fast_criterion(self, capsys):

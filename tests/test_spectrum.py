@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -46,6 +47,52 @@ class TestSearchProjective:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             sp.search_projective(4, 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_plane_below_martinov_range_counts_nothing(self, monkeypatch, n):
+        def refuse(recipe):
+            raise AssertionError(f"counted {recipe.describe()}")
+        monkeypatch.setattr(sp, "count_recipe", refuse)
+        with pytest.raises(bd.OutOfTheoremRangeError, match=rf"\(n, d\) = \({n}, 2\)"):
+            sp.search_projective(n, 2)
+
+
+@pytest.mark.parametrize("n, d", [(11, 3), (20, 3), (13, 4), (15, 5), (50, 3), (10, 2)])
+def test_lazy_catalogue_is_the_catalogue_under_the_cap(n, d):
+    whole = sp.projective_recipes(n, d)
+    assert list(sp._catalogue(n, d, None)) == list(whole)
+    rule_cap = sp._projective_rule(n, d, None)[1]
+    for cap in (0, 2 * n, 4 * n, 6 * n, rule_cap // 2, rule_cap - 1, rule_cap, 20 * n):
+        assert list(sp._catalogue(n, d, cap)) == [r for r in whole if r.expected_f <= cap]
+
+
+# sha256 of json.dumps(report.to_json(), sort_keys=True), as a scan of the
+# whole catalogue reported them: any change of witness, order or count fails.
+SEARCH_REPORTS = {
+    (11, 3, None): "5992a624bfa62a3208b2f46102770dde0a82e1ca8efa8333bea2c71049fc3b3c",
+    (20, 3, None): "7de1bbe453efd09f55924fa08e77fb2941eec93c974783d3fb68c930cc26f223",
+    (13, 4, None): "2d22418f7f49828e66163c40dabddc85a18f54ce6ff381b89e3daf44d1b728f1",
+    (15, 5, None): "8ef5132a4f5a6cd50d353ff55de4741f0bc15d0d58d3325798e22c8584e0990b",
+    (50, 3, 2): "c0cd7066247937445b1aed12dc05272ddf204b807af459fff09ecbea4273085d",
+    (50, 3, None): "3d655d3d43d874764bb25fcb7479fe33ef97bdabb83a550e6430bb528cd1ae1c",
+}
+
+
+@pytest.mark.parametrize("n, d, budget", list(SEARCH_REPORTS))
+def test_search_report_is_pinned(n, d, budget):
+    report = sp.search_projective(n, d, budget=budget).to_json()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == SEARCH_REPORTS[n, d, budget]
+
+
+def test_budgeted_search_builds_no_whole_catalogue(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"built the whole catalogue at {args}")
+    monkeypatch.setattr(sp, "projective_recipes", refuse)
+    monkeypatch.setattr(sp, "plane_recipes", refuse)
+    report = sp.search_projective(50, 3, budget=2)
+    assert report.partial
+    assert report.counted == 2
 
 
 @pytest.mark.parametrize("n", range(3, 30))
