@@ -1,9 +1,17 @@
 """The acceptance battery: every exit criterion as an executable check.
 
-Each criterion builds its own evidence and returns a CriterionResult; the
-runner prints one PASS/FAIL line per criterion.  Every arrangement counted
-anywhere in the battery is collected into a shared registry so the bound
-invariants of criterion 6 really do cover the whole suite.
+`CRITERIA` is the battery: one (number, name, check) row per criterion, in
+run order.  Each `check(registry, seed)` counts its arrangements, appends
+every (arrangement, count) pair to the shared registry and returns
+`(problems, pass_detail)`; only criterion 1 reads the seed.  A check may add
+stretch outcomes after those two, each `(name, problems, pass_detail)`.
+
+`run_battery` is the one runner.  It refuses an unknown criterion number,
+times each selected check, and makes each outcome a `CriterionResult`: it
+passes when there are no problems, and its detail is the first four
+problems or else the pass detail.  It prints one PASS/FAIL line per result
+in criterion order.  Criterion 6 runs last, so the bound invariants cover
+every arrangement counted anywhere in the battery.
 
 Criteria (all required unless marked stretch):
 
@@ -77,16 +85,15 @@ def _catalog_small() -> list:
     return recipes
 
 
-def criterion_1_oracle_equivalence(registry, seed=DEFAULT_SEED) -> CriterionResult:
-    start = time.time()
-    mismatches = []
+def _oracle_equivalence(registry, seed):
+    problems = []
     randoms = sp.random_arrangements(RANDOM_COUNT, seed=seed)
     for i, arr in enumerate(randoms):
         fz = count_regions_projective(arr)
         fo = count_regions_oracle(arr)
         registry.append((arr, fz))
         if fz != fo:
-            mismatches.append(f"random[{i}]: {fz} vs {fo}")
+            problems.append(f"random[{i}]: {fz} vs {fo}")
     checked = len(randoms)
     for recipe in _catalog_small():
         try:
@@ -100,19 +107,14 @@ def criterion_1_oracle_equivalence(registry, seed=DEFAULT_SEED) -> CriterionResu
         registry.append((arr, fz))
         checked += 1
         if fz != fo:
-            mismatches.append(f"{recipe.describe()}: {fz} vs {fo}")
-        if recipe.expected_f is not None and fz != recipe.expected_f:
-            mismatches.append(f"{recipe.describe()}: counted {fz}, "
-                              f"predicted {recipe.expected_f}")
-    detail = f"{checked} arrangements agree across both engines"
-    if mismatches:
-        detail = "; ".join(mismatches[:4])
-    return CriterionResult(1, "oracle-equivalence", True, not mismatches,
-                           detail, time.time() - start)
+            problems.append(f"{recipe.describe()}: {fz} vs {fo}")
+        if fz != recipe.expected_f:
+            problems.append(f"{recipe.describe()}: counted {fz}, "
+                            f"predicted {recipe.expected_f}")
+    return problems, f"{checked} arrangements agree across both engines"
 
 
-def criterion_2_first_four(registry) -> CriterionResult:
-    start = time.time()
+def _first_four(registry, seed):
     problems = []
     for d, n in ((3, 11), (3, 20), (4, 13), (5, 15)):
         values = bd.first_four_counts(n, d)
@@ -124,18 +126,13 @@ def criterion_2_first_four(registry) -> CriterionResult:
                 problems.append(f"({d},{n}): {v} not realized")
         if report.unexpected:
             problems.append(f"({d},{n}): unexpected {report.unexpected}")
-    detail = "four smallest counts realized and exclusive at all four (d, n)"
-    if problems:
-        detail = "; ".join(problems[:4])
-    return CriterionResult(2, "four-smallest-counts", True, not problems,
-                           detail, time.time() - start)
+    return problems, "four smallest counts realized and exclusive at all four (d, n)"
 
 
 TIER_A_EXTRA_FORMS = ((7, -20), (8, -32), (9, -36), (9, -33), (12, -60))
 
 
-def criterion_3_low_spectrum_3d(registry) -> tuple[CriterionResult, CriterionResult]:
-    start = time.time()
+def _low_spectrum_3d(registry, seed):
     n = 50
     report = sp.search_projective(n, 3)
     for f, recipe in report.found.items():
@@ -157,59 +154,36 @@ def criterion_3_low_spectrum_3d(registry) -> tuple[CriterionResult, CriterionRes
         problems.append(f"only {len(further)} further listed values realized")
     if report.unexpected:
         problems.append(f"unexpected below 12n-60: {report.unexpected}")
-    elapsed = time.time() - start
-    detail = (f"{len(found & set(listed))} of 36 listed values realized, "
-              f"nothing unexpected below {report.cap}")
-    if problems:
-        detail = "; ".join(problems[:4])
-    required = CriterionResult(3, "low-spectrum-3d", True, not problems,
-                               detail, elapsed)
-
     missing_all = [v for v in listed if v not in found]
-    stretch = CriterionResult(3, "low-spectrum-3d-complete", False,
-                              not missing_all,
-                              "all 36 listed values witnessed" if not missing_all
-                              else f"missing {missing_all}", 0.0)
-    return required, stretch
+    return (problems,
+            f"{len(found & set(listed))} of 36 listed values realized, "
+            f"nothing unexpected below {report.cap}",
+            ("low-spectrum-3d-complete",
+             [f"missing {missing_all}"] if missing_all else [],
+             "all 36 listed values witnessed"))
 
 
-def criterion_4_toric_constructions(registry) -> CriterionResult:
-    start = time.time()
-    problems = []
-    checked = 0
+def _toric_constructions(registry, seed):
+    cases = []
     for d in (2, 3):
-        for k in range(d):
-            for n in range(max(2, k + 1), 9):
-                arr = gn.toric_construction_a(n, d, k)
-                f = count_regions_toric(arr)
-                registry.append((arr, f))
-                checked += 1
-                if f != n - k:
-                    problems.append(f"a(n={n},d={d},k={k}) counted {f} != {n - k}")
-                elif torus_decomposition(arr).f != f:
-                    problems.append(f"a(n={n},d={d},k={k}): cube engine disagrees")
-        for k in range(6):
-            for n in range(d, 9):
-                if n == d and k == 0:
-                    continue
-                arr = gn.toric_construction_b(n, d, k)
-                expected = gn.toric_construction_b_count(n, d, k)
-                f = count_regions_toric(arr)
-                registry.append((arr, f))
-                checked += 1
-                if f != expected:
-                    problems.append(f"b(n={n},d={d},k={k}) counted {f} != {expected}")
-                elif torus_decomposition(arr).f != f:
-                    problems.append(f"b(n={n},d={d},k={k}): cube engine disagrees")
-    detail = f"{checked} construction counts match closed forms and the cube engine"
-    if problems:
-        detail = "; ".join(problems[:4])
-    return CriterionResult(4, "toric-construction-counts", True, not problems,
-                           detail, time.time() - start)
+        cases += [(f"a(n={n},d={d},k={k})", gn.toric_construction_a(n, d, k), n - k)
+                  for k in range(d) for n in range(max(2, k + 1), 9)]
+        cases += [(f"b(n={n},d={d},k={k})", gn.toric_construction_b(n, d, k),
+                   gn.toric_construction_b_count(n, d, k))
+                  for k in range(6) for n in range(d, 9) if (n, k) != (d, 0)]
+    problems = []
+    for label, arr, expected in cases:
+        f = count_regions_toric(arr)
+        registry.append((arr, f))
+        if f != expected:
+            problems.append(f"{label} counted {f} != {expected}")
+        elif torus_decomposition(arr).f != f:
+            problems.append(f"{label}: cube engine disagrees")
+    return problems, (f"{len(cases)} construction counts match closed forms and "
+                      "the cube engine")
 
 
-def criterion_5_toric_plane_spectrum(registry) -> CriterionResult:
-    start = time.time()
+def _toric_plane_spectrum(registry, seed):
     problems = []
     for n in (4, 5):
         report = sp.search_toric(n, 2, cap=12)
@@ -222,30 +196,18 @@ def criterion_5_toric_plane_spectrum(registry) -> CriterionResult:
             problems.append(f"n={n}: missing {report.missing_predicted}")
         if report.unexpected:
             problems.append(f"n={n}: unexpected {report.unexpected}")
-    detail = ("every predicted value up to 12 witnessed and agreed by the cube "
-              "engine, none outside the spectrum")
-    if problems:
-        detail = "; ".join(problems)
-    return CriterionResult(5, "toric-plane-spectrum", True, not problems,
-                           detail, time.time() - start)
+    return problems, ("every predicted value up to 12 witnessed and agreed by the "
+                      "cube engine, none outside the spectrum")
 
 
-def criterion_6_bound_invariants(registry) -> CriterionResult:
-    start = time.time()
-    violations = sp.verify_bounds_batch(registry)
+def _bound_invariants(registry, seed):
     if not registry:
-        detail = "no counted arrangements to check; select another criterion too"
-    elif violations:
-        detail = "; ".join(v.describe() for v in violations[:4])
-    else:
-        detail = f"0 violations over {len(registry)} counted arrangements"
-    return CriterionResult(6, "bound-invariants", True,
-                           bool(registry) and not violations,
-                           detail, time.time() - start)
+        return ["no counted arrangements to check; select another criterion too"], ""
+    problems = [v.describe() for v in sp.verify_bounds_batch(registry)]
+    return problems, f"0 violations over {len(registry)} counted arrangements"
 
 
-def criterion_7_sharpness(registry) -> CriterionResult:
-    start = time.time()
+def _sharpness(registry, seed):
     problems = []
     for d in (2, 3):
         for n in range(d, 9):
@@ -268,15 +230,10 @@ def criterion_7_sharpness(registry) -> CriterionResult:
             mc = bd.bound_mcmullen(arr.n, d)
             if counted != f or counted != mc.ceil:
                 problems.append(f"cone chain (q={q},d={d}): {counted} vs {mc.ceil}")
-    detail = "homological and McMullen bounds attained with equality"
-    if problems:
-        detail = "; ".join(problems[:4])
-    return CriterionResult(7, "sharpness", True, not problems,
-                           detail, time.time() - start)
+    return problems, "homological and McMullen bounds attained with equality"
 
 
-def criterion_8_martinov_values(registry) -> CriterionResult:
-    start = time.time()
+def _martinov_values(registry, seed):
     problems = []
     for n in range(7, 13):
         cases = [
@@ -291,44 +248,46 @@ def criterion_8_martinov_values(registry) -> CriterionResult:
             registry.append((arr, fz))
             if not fz == fo == expected:
                 problems.append(f"n={n}: {fz}/{fo} vs {expected}")
-    detail = "double pencils hit 2n-2, 3n-6, 4n-12 and 3n-5 on both engines"
-    if problems:
-        detail = "; ".join(problems[:4])
-    return CriterionResult(8, "martinov-values", True, not problems,
-                           detail, time.time() - start)
+    return problems, "double pencils hit 2n-2, 3n-6, 4n-12 and 3n-5 on both engines"
+
+
+CRITERIA = (
+    (1, "oracle-equivalence", _oracle_equivalence),
+    (2, "four-smallest-counts", _first_four),
+    (3, "low-spectrum-3d", _low_spectrum_3d),
+    (4, "toric-construction-counts", _toric_constructions),
+    (5, "toric-plane-spectrum", _toric_plane_spectrum),
+    (7, "sharpness", _sharpness),
+    (8, "martinov-values", _martinov_values),
+    (6, "bound-invariants", _bound_invariants),
+)
+
+
+def _result(number, name, required, problems, pass_detail, seconds) -> CriterionResult:
+    return CriterionResult(number, name, required, not problems,
+                           "; ".join(problems[:4]) or pass_detail, seconds)
 
 
 def run_battery(seed: int = DEFAULT_SEED, only: set[int] | None = None,
                 echo=print) -> list[CriterionResult]:
-    """Run the acceptance battery, printing one line per criterion.
-
-    Criterion 6 runs last, so that it checks the arrangements of every other
-    selected criterion; the lines are still printed in criterion order.
-    """
+    """Run the selected criteria in table order, printing one line per result
+    in criterion order.  Raises ValueError, before any check runs, when
+    `only` names a criterion that does not exist."""
+    unknown = sorted(set(only or ()) - {number for number, _, _ in CRITERIA})
+    if unknown:
+        raise ValueError(f"unknown criterion {', '.join(map(str, unknown))}; "
+                         f"the criteria are 1..{len(CRITERIA)}")
     registry: list = []
     results: list[CriterionResult] = []
-
-    def wanted(k: int) -> bool:
-        return only is None or k in only
-
-    if wanted(1):
-        results.append(criterion_1_oracle_equivalence(registry, seed=seed))
-    if wanted(2):
-        results.append(criterion_2_first_four(registry))
-    if wanted(3):
-        required, stretch = criterion_3_low_spectrum_3d(registry)
-        results.append(required)
-        results.append(stretch)
-    if wanted(4):
-        results.append(criterion_4_toric_constructions(registry))
-    if wanted(5):
-        results.append(criterion_5_toric_plane_spectrum(registry))
-    if wanted(7):
-        results.append(criterion_7_sharpness(registry))
-    if wanted(8):
-        results.append(criterion_8_martinov_values(registry))
-    if wanted(6):
-        results.append(criterion_6_bound_invariants(registry))
+    for number, name, check in CRITERIA:
+        if only is not None and number not in only:
+            continue
+        start = time.time()
+        problems, pass_detail, *stretches = check(registry, seed)
+        results.append(_result(number, name, True, problems, pass_detail,
+                               time.time() - start))
+        for stretch_name, *outcome in stretches:
+            results.append(_result(number, stretch_name, False, *outcome, 0.0))
     results.sort(key=lambda r: r.number)
     for result in results:
         echo(result.line())

@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                    help="seed for the random violation-hunting stream")
     p.add_argument("--only", type=int, action="append", default=None,
-                   help="run only the given criterion number (repeatable)")
+                   help="run only the given criterion number, 1..8 (repeatable)")
     p.set_defaults(func=cmd_verify_acceptance)
 
     return parser

@@ -64,7 +64,7 @@ class Recipe:
     space: str  # "projective" or "toric"
     n: int
     d: int
-    expected_f: int | None
+    expected_f: int
 
     def describe(self) -> str:
         inner = ", ".join(p.describe() if isinstance(p, Recipe) else repr(p)

@@ -182,7 +182,7 @@ def count_recipe(recipe: Recipe) -> int:
         f = count_regions_projective(arr)
     else:
         f = count_regions_toric(arr)
-    if recipe.expected_f is not None and f != recipe.expected_f:
+    if f != recipe.expected_f:
         raise RecipeMismatchError(
             f"{recipe.describe()} counted {f}, predicted {recipe.expected_f}")
     return f
@@ -262,11 +262,10 @@ def search_toric(n: int, d: int, budget: int | None = None,
     recipes: list[Recipe] = []
     for k in range(0, min(d - 1, n - 1) + 1):
         recipes.append(Recipe("toric_a", (n, d, k), "toric", n, d, n - k))
-    max_slope = cap if budget is None else max(cap, budget)
     for dprime in range(2, d + 1):
         if n < dprime:
             continue
-        for k in range(0, max_slope + 1):
+        for k in range(0, cap + 1):
             if n == dprime and k == 0:
                 continue
             recipes.append(Recipe("toric_b", (n, d, dprime, k), "toric", n, d,
@@ -280,13 +279,18 @@ def _fill_report(report: SpectrumReport, recipes, budget: int | None,
                  predicted: list[int], member) -> SpectrumReport:
     """Count one witness per distinct predicted value in [1, cap], then compare.
 
-    Recipes without a prediction, predicting outside [1, cap] or predicting
-    an already witnessed value are skipped, as are unrealizable placements.
+    Recipes predicting outside [1, cap] or predicting an already witnessed
+    value are skipped, as are unrealizable placements.
     `budget` caps the number of exact counts; hitting it flags the report as
-    partial.
+    partial.  A cap below 1, under which nothing could be checked, and a
+    negative budget raise ValueError before anything is counted.
     """
+    if report.cap < 1:
+        raise ValueError(f"cap must be at least 1, got {report.cap}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     for recipe in recipes:
-        if recipe.expected_f is None or not 1 <= recipe.expected_f <= report.cap:
+        if not 1 <= recipe.expected_f <= report.cap:
             continue
         if recipe.expected_f in report.found:
             continue

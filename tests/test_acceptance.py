@@ -6,17 +6,29 @@ straight at the failing requirement.
 """
 
 import hashlib
+import re
 
 import pytest
 
+from chambers import acceptance
 from chambers import spectrum as sp
 from chambers.acceptance import _catalog_small, battery_exit_code, run_battery
 
 
+def untimed(lines):
+    return [re.sub(r" \(\d+\.\ds\)$", "", line) for line in lines]
+
+
 @pytest.fixture(scope="module")
-def battery():
-    results = run_battery()
-    return {(r.number, r.required): r for r in results}
+def printed():
+    lines = []
+    results = run_battery(echo=lines.append)
+    return results, lines
+
+
+@pytest.fixture(scope="module")
+def battery(printed):
+    return {(r.number, r.required): r for r in printed[0]}
 
 
 def _get(battery, number, required=True):
@@ -86,3 +98,44 @@ def test_criterion_8_martinov_values(battery):
 
 def test_exit_code_contract(battery):
     assert battery_exit_code(list(battery.values())) == 0
+
+
+# sha256 of the full battery's printed lines, joined by newlines, each
+# without its trailing "(x.xs)" timing.
+BATTERY_LINES = "5d7ccd83271f3ef956158f1c4aee5d62dacdcdc9c19694f8dc0356e791b04dde"
+
+
+def test_printed_lines_are_pinned(printed):
+    lines = untimed(printed[1])
+    assert len(lines) == 9
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BATTERY_LINES
+
+
+def test_criterion_3_prints_its_required_then_its_stretch_line():
+    lines = []
+    run_battery(only={3}, echo=lines.append)
+    assert untimed(lines) == [
+        "PASS criterion 3 (low-spectrum-3d): 36 of 36 listed values realized, "
+        "nothing unexpected below 540",
+        "PASS criterion 3 (low-spectrum-3d-complete) [stretch]: "
+        "all 36 listed values witnessed",
+    ]
+
+
+def test_runner_reports_the_first_four_problems(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        (2, "dirty", lambda registry, seed: ([f"p{i}" for i in range(6)], "unused")),
+        (1, "clean", lambda registry, seed: ([], f"seed {seed}")),
+    ))
+    results = run_battery(seed=7, echo=lambda line: None)
+    assert [(r.number, r.passed, r.detail) for r in results] == [
+        (1, True, "seed 7"), (2, False, "p0; p1; p2; p3")]
+    assert battery_exit_code(results) == 1
+
+
+def test_unknown_criterion_is_refused_before_any_check(monkeypatch):
+    def refuse(registry, seed):
+        raise AssertionError("ran a check")
+    monkeypatch.setattr(acceptance, "CRITERIA", ((1, "one", refuse),))
+    with pytest.raises(ValueError, match=r"unknown criterion 0, 9; the criteria are 1\.\.1"):
+        run_battery(only={1, 9, 0}, echo=lambda line: None)

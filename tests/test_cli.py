@@ -304,6 +304,17 @@ class TestSearch:
         assert captured.out == ""
         assert captured.err.startswith("error: (n, d) = (6, 2) outside")
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--cap", "-5"), "error: cap must be at least 1, got -5\n"),
+        (("--budget", "-1"), "error: budget must be at least 0, got -1\n"),
+    ])
+    def test_limit_that_cannot_be_honoured_is_usage_error(self, capsys, flags, message):
+        code = main(["search", "-n", "11", "-d", "3", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message
+
 
 class TestVerifyAcceptance:
     def test_single_fast_criterion(self, capsys):
@@ -325,6 +336,18 @@ class TestVerifyAcceptance:
         out = capsys.readouterr().out
         assert code == 1
         assert out.startswith("FAIL criterion 6")
+
+    @pytest.mark.parametrize("only", [["0"], ["9"], ["3", "9"]])
+    def test_unknown_criterion_is_usage_error(self, capsys, only):
+        argv = ["verify-acceptance"]
+        for number in only:
+            argv += ["--only", number]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: unknown criterion {only[-1]}; "
+                                "the criteria are 1..8\n")
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

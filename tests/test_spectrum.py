@@ -162,6 +162,39 @@ class TestSearchToric:
             assert count_regions_toric(sp.build_recipe(recipe)) == f
 
 
+# sha256 of json.dumps(report.to_json(), sort_keys=True), as reported when a
+# budget above the cap still walked slopes k up to the budget.
+TORIC_REPORTS = {
+    (4, 2, 12, None): "4f74abb26efd99938d686f03d3d10a1659e04f924c97c6b1f782ab2b618ea09c",
+    (5, 2, 12, None): "f0a8981974207d544d8bb01784e2554edb4b23e50e14ce9b86a160c592dfacfc",
+    (4, 2, None, 1): "023bc9062a95fdbaa69692653a97e4e3dbb47dfb81723fa908f5d5397e3055f1",
+    (4, 2, None, 30): "9126f4b60b30f13859dc3dd231cddb3da4440e22b90d665fc2e8564e35f1ba2d",
+    (7, 5, 14, None): "0c71b37568f1370744a642b0330410413502e16a00b11b5325bdd1edb6b9aef3",
+}
+
+
+@pytest.mark.parametrize("n, d, cap, budget", list(TORIC_REPORTS))
+def test_toric_search_report_is_pinned(n, d, cap, budget):
+    report = sp.search_toric(n, d, budget=budget, cap=cap).to_json()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == TORIC_REPORTS[n, d, cap, budget]
+
+
+@pytest.mark.parametrize("search, n, d", [(sp.search_projective, 11, 3),
+                                          (sp.search_toric, 4, 2)])
+@pytest.mark.parametrize("limits, message", [
+    ({"cap": 0}, "cap must be at least 1, got 0"),
+    ({"cap": -5}, "cap must be at least 1, got -5"),
+    ({"budget": -1}, "budget must be at least 0, got -1"),
+])
+def test_search_refuses_limits_it_cannot_honour(monkeypatch, search, n, d, limits, message):
+    def refuse(recipe):
+        raise AssertionError(f"counted {recipe.describe()}")
+    monkeypatch.setattr(sp, "count_recipe", refuse)
+    with pytest.raises(ValueError, match=message):
+        search(n, d, **limits)
+
+
 class TestVerifyBoundsBatch:
     def test_clean_on_valid_counts(self):
         items = []
