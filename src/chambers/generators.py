@@ -1,29 +1,33 @@
 """Constructive arrangement families with known region counts.
 
 Every generator is deterministic: free parameters come from small integer
-scans.  A plane line through its anchors is admitted by one exact count,
-its distinct crossings with the lines already placed; the count reaches
-the anchors' bound exactly when the line passes through no other crossing.
-So a successful build realizes precisely the incidence pattern the recipe
-names, and the expected count attached to the recipe is trustworthy.
-Builders raise PlacementError when a requested pattern is not realizable.
+scans.  The plane builders place each line through anchors, crossings of
+the lines already placed.  An anchor where mu lines meet saves mu - 1
+crossings, so a line through anchors saving s meets the n placed lines in
+at most n - s distinct points, and exactly n - s when it passes through no
+other crossing.  One walk, `_PlaneBuilder.anchor_sets`, lists the anchor
+sets for a saving, and `_PlaneBuilder.place_line` places the first line
+that reaches its anchors' bound, so a built arrangement realizes precisely
+the incidence pattern its recipe names and the recipe's predicted count is
+trustworthy.  Builders raise PlacementError when no anchor set admits a
+line, or a requested pattern is otherwise not realizable.
 
 Projective families (all exact integer covectors):
 
 * general_position: covectors on the moment curve, multiplicity m = d.
 * double_pencil: a lines through one point, b through another, optionally
   sharing the connecting line; the classic low-count plane families.
-* pencil_with_extras: a pencil of q lines plus up to five extra lines whose
-  crossings are steered through chosen existing points ("anchors"), walking
-  the low plane spectrum.
+* pencil_with_extras: a pencil of q lines plus up to five extra lines, each
+  placed through anchors that save what its action names, walking the low
+  plane spectrum.
 * cone: lift of a base arrangement with every hyperplane through a common
   apex, plus extra hyperplanes missing the apex.  One extra doubles the
   base count.
 * two_extra_planes / three_extra_planes: a cone over a plane base plus two
-  or three extra planes with controlled trace coincidences; these realize
-  the odd-slope members of the low spectrum in RP^3.  Every line they place
-  comes from a scan, or from the pencil of two scanned lines, so no
-  generator solves a linear system.
+  or three extra planes whose traces on the base save chosen numbers of
+  crossings; these realize the odd-slope members of the low spectrum in
+  RP^3.  Every line they place comes from the anchor walk, or from the
+  pencil of two lines it placed, so no generator solves a linear system.
 
 Toric families: k coordinate subtori plus parallel translates (count n-k),
 and coordinate subtori plus a sloped geodesic with parallels (count
@@ -117,20 +121,52 @@ class _PlaneBuilder:
         return len(self.lines) - sum(
             self.multiplicity(a) - 1 for a in anchors if a in self.points)
 
-    def lines_through(self, anchors: Sequence[Vec], expected_new_points: int) -> Iterator[Vec]:
-        """Each of up to 2001 candidate lines through the anchors that is not
-        placed and meets the placed lines in `expected_new_points` points.
+    def anchor_sets(self, saving: int, through: Vec | None = None,
+                    avoid: Sequence[Vec] = ()) -> Iterator[tuple[Vec, ...]]:
+        """Every tuple of at most two crossings, no two on a common line,
+        whose savings mu - 1 add up to `saving`, each once; `through`, a
+        crossing, leads every tuple, and no other anchor is in `avoid`.
 
-        Every candidate passes through every anchor, so it crosses at most
-        `crossing_bound(anchors)` = len(lines) - sum(mu - 1) lines, mu being
-        each anchor's multiplicity: a request above that bound yields nothing
-        and tries no candidate, and a line that meets it passes through no
-        crossing but the anchors.
+        Double points alone come first (the empty tuple for a saving of 0),
+        then one crossing of more lines, then such a crossing paired with
+        another.
         """
+        def gain(p: Vec) -> int:
+            return len(self.points[p]) - 1
+
+        others = [p for p in self.points if p not in avoid]
+
+        def pairs(p: Vec, rest: int, among: Sequence[Vec]) -> Iterator[tuple[Vec, Vec]]:
+            return ((p, o) for o in among if gain(o) == rest
+                    and not self.points[p] & self.points[o])
+
+        if through is not None:
+            rest = saving - gain(through)
+            if rest == 0:
+                yield (through,)
+            elif rest > 0:
+                yield from pairs(through, rest, others)
+            return
+        if saving == 0:
+            yield ()
+        if saving == 2:
+            doubles = [p for p in others if gain(p) == 1]
+            for i, p in enumerate(doubles):
+                yield from pairs(p, 1, doubles[i + 1:])
+        yield from ((p,) for p in others if gain(p) == saving)
+        led: set[Vec] = set()  # a pair of two such crossings is tried once
+        for p in others:
+            if 1 < gain(p) < saving:
+                yield from pairs(p, saving - gain(p), [o for o in others if o not in led])
+                led.add(p)
+
+    def lines_through(self, anchors: Sequence[Vec]) -> Iterator[Vec]:
+        """Each of up to 2001 candidate lines through the anchors that is not
+        placed and meets the placed lines in `crossing_bound(anchors)` points,
+        so that it passes through no crossing but the anchors."""
         if len(anchors) > 2:
             raise PlacementError("a line passes through at most two chosen points")
-        if expected_new_points > self.crossing_bound(anchors):
-            return
+        bound = self.crossing_bound(anchors)
         if len(anchors) == 2:
             candidates: Iterable[Vec] = [cross3(anchors[0], anchors[1])]
         elif len(anchors) == 1:
@@ -140,14 +176,19 @@ class _PlaneBuilder:
         for cand in itertools.islice(candidates, 2001):
             if any(cand):
                 line = primitive_normalize(cand)
-                if line not in self.lines and self.crossings(line) == expected_new_points:
+                if line not in self.lines and self.crossings(line) == bound:
                     yield line
 
-    def scan_line_through(self, anchors: Sequence[Vec], expected_new_points: int) -> Vec:
-        """The first line `lines_through` gives."""
-        for line in self.lines_through(anchors, expected_new_points):
-            return line
-        raise PlacementError("no admissible line found for the requested anchors")
+    def place_line(self, saving: int, through: Vec | None = None,
+                   avoid: Sequence[Vec] = ()) -> Vec:
+        """Place and return the first line `lines_through` admits for an
+        anchor set of `anchor_sets(saving, through, avoid)`."""
+        for anchors in self.anchor_sets(saving, through, avoid):
+            for line in self.lines_through(anchors):
+                self.place(line)
+                return line
+        raise PlacementError(
+            f"{saving} trace coincidences are not realizable over this base")
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +295,21 @@ def _feasible_programs(max_extras: int) -> tuple[tuple[tuple[tuple[str, ...], in
 PENCIL_PROGRAMS = _feasible_programs(5)
 
 
-def pencil_with_extras_count(q: int, program: Sequence[str]) -> int | None:
-    """q + the sum over extras i of q + i - savings[i]; None if infeasible."""
-    savings = pencil_extras_savings(program)
-    if savings is None:
-        return None
-    k = len(program)
-    return q * (k + 1) + k * (k - 1) // 2 - sum(savings)
+def pencil_with_extras_count(q: int, k: int, saving: int) -> int:
+    """q + the sum over the k extras i of q + i - savings[i], given the
+    program's total saving (`PENCIL_PROGRAMS` or `pencil_extras_savings`)."""
+    return q * (k + 1) + k * (k - 1) // 2 - saving
 
 
 def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:
     """Pencil of q lines plus len(program) extra lines placed per action.
 
-    Actions: fresh (no anchors), cross1/cross2 (through one or two existing
-    double points), stack (through the running stack point, the crossing of
-    the first extra with the first pencil line), stack_cross (stack point
-    plus one fresh double point on a line that avoids the stack).
+    Extra i is a line through anchors, crossings whose savings mu - 1 add up
+    to the action's saving, `pencil_extras_savings(program)[i]`, so it crosses
+    q + i - saving distinct points.  fresh saves nothing, cross1 and cross2
+    save one and two at crossings of earlier lines.  stack goes through the
+    stack point, the crossing of the first extra with pencil line 0, and
+    stack_cross through it and one more double point off its lines.
     """
     if q < 2:
         raise ValueError("need a pencil of at least two lines")
@@ -277,44 +317,20 @@ def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:
     if savings is None:
         raise PlacementError(f"program {program!r} is not realizable")
     builder = _PlaneBuilder((i, 1, 0) for i in range(q))
-    # a cross anchor on the stack point would leave a later stack above its bound
-    reserved: set[Vec] = set()
-    for i, action in enumerate(program):
-        expected = q + i - savings[i]
-        if action == "fresh":
-            line = builder.scan_line_through([], expected)
-        elif action == "cross1":
-            anchor = _first_simple_point(builder, forbid_lines=set(), avoid=reserved)
-            line = builder.scan_line_through([anchor], expected)
-        elif action == "cross2":
-            first = _first_simple_point(builder, forbid_lines=set(), avoid=reserved)
-            second = _first_simple_point(
-                builder, forbid_lines=builder.points[first], avoid=reserved)
-            line = builder.scan_line_through([first, second], expected)
-        elif action == "stack":
-            line = builder.scan_line_through([stack_point], expected)
-        else:  # stack_cross
-            other = _first_simple_point(builder, forbid_lines=builder.points[stack_point])
-            line = builder.scan_line_through([stack_point, other], expected)
-        builder.place(line)
-        if i == 0:  # the first extra is fresh: it misses the apex
+    stack_point = None
+    # a cross anchor on the stack point would leave a later stack above its saving
+    reserved: tuple[Vec, ...] = ()
+    for action, saving in zip(program, savings):
+        stacked = action in ("stack", "stack_cross")
+        line = builder.place_line(saving, stack_point if stacked else None, reserved)
+        if stack_point is None:  # the first extra is fresh: it misses the apex
             stack_point = primitive_normalize(cross3(line, builder.lines[0]))
             if {"stack", "stack_cross"} & set(program):
-                reserved.add(stack_point)
+                reserved = (stack_point,)
     arr = ProjArrangement(2, tuple(builder.lines))
     if validate(arr):
         raise PlacementError("pencil-with-extras construction degenerated")
     return arr
-
-
-def _first_simple_point(builder: _PlaneBuilder, forbid_lines: set[int],
-                        avoid: set[Vec] = frozenset()) -> Vec:
-    for p, lines in builder.points.items():
-        if p in avoid:
-            continue
-        if len(lines) == 2 and not (lines & forbid_lines):
-            return p
-    raise PlacementError("no admissible double point available")
 
 
 def cone(base: ProjArrangement, extras: int = 1,
@@ -336,11 +352,10 @@ def cone(base: ProjArrangement, extras: int = 1,
         if base.d != 2:
             raise PlacementError("multiple extras are only catalogued over plane bases")
         builder = _PlaneBuilder(base.covectors)
-        anchors = [] if through_point is None else [base_crossing(base, through_point)[0]]
+        p = None if through_point is None else base_crossing(base, through_point)[0]
         for _ in range(extras - 1):
-            w = builder.scan_line_through(anchors, builder.crossing_bound(anchors))
-            builder.place(w)
-            covs.append(w + (1,))
+            saving = 0 if p is None else builder.multiplicity(p) - 1
+            covs.append(builder.place_line(saving, p) + (1,))
     return ProjArrangement(base.d + 1, tuple(covs))
 
 
@@ -378,36 +393,17 @@ def two_extra_planes(base: ProjArrangement, coincidences: int = 0,
 
     The count is 3 * f(base) + (number of distinct base traces on l), and
     3 * f(base) when l lies inside the lifted base.  `coincidences` merges
-    that many traces: small values anchor l on crossing points of the base,
-    and a value matching (pencil size - 1) for a double-pencil base routes
-    l through that pencil's apex, collapsing it entirely.
+    that many traces: l is anchored on base crossings whose savings mu - 1
+    add up to it, so a value of (pencil size - 1) for a double-pencil base
+    can route l through that pencil's apex, collapsing it entirely.
     """
     if base.d != 2:
         raise PlacementError("the base must be a plane arrangement")
-    builder = _PlaneBuilder(base.covectors)
-    n2 = base.n
-    covs = [u + (0,) for u in base.covectors]
-    covs.append((0, 0, 0, 1))
+    covs = [u + (0,) for u in base.covectors] + [(0, 0, 0, 1)]
     if line_in_union:
-        w = base.covectors[0]
-        covs.append(tuple(w) + (1,))
+        covs.append(base.covectors[0] + (1,))
         return ProjArrangement(3, tuple(covs))
-
-    w = None
-    if coincidences == 0:
-        w = builder.scan_line_through([], n2)
-    else:
-        for anchors in _coincidence_anchor_sets(builder, coincidences):
-            try:
-                w = builder.scan_line_through(list(anchors), n2 - coincidences)
-                break
-            except PlacementError:
-                continue
-        if w is None:
-            raise PlacementError(
-                f"{coincidences} trace coincidences are not realizable "
-                "over this base")
-    covs.append(tuple(w) + (1,))
+    covs.append(_PlaneBuilder(base.covectors).place_line(coincidences) + (1,))
     arr = ProjArrangement(3, tuple(covs))
     if validate(arr):
         raise PlacementError("two-extra construction degenerated")
@@ -422,49 +418,6 @@ def two_extra_planes_count(base_count: int, base_n: int,
     return 3 * base_count + base_n - coincidences
 
 
-def _coincidence_anchor_sets(builder: _PlaneBuilder, coincidences: int):
-    """Candidate anchor tuples whose multiplicity savings sum to the target.
-
-    A point of multiplicity mu absorbs mu - 1 trace coincidences.  Singles
-    come first (double points for 1, disjoint double pairs for 2, a matching
-    pencil apex otherwise), then apex+point pairs whose savings add up, so
-    every decomposition of the requested count is eventually tried.
-    """
-    doubles = builder.double_points()
-    apexes = [p for p, on in builder.points.items() if len(on) > 2]
-    emitted = 0
-    if coincidences == 1:
-        for p in doubles:
-            yield (p,)
-            emitted += 1
-            if emitted > 80:
-                return
-    if coincidences == 2:
-        for i, p1 in enumerate(doubles):
-            for p2 in doubles[i + 1:]:
-                if builder.points[p1] & builder.points[p2]:
-                    continue
-                yield (p1, p2)
-                emitted += 1
-                if emitted > 80:
-                    return
-            if emitted > 80:
-                return
-    for p in apexes:
-        if len(builder.points[p]) - 1 == coincidences:
-            yield (p,)
-    for p1 in apexes:
-        s1 = len(builder.points[p1]) - 1
-        for p2 in apexes + doubles:
-            if p2 == p1 or (builder.points[p1] & builder.points[p2]):
-                continue
-            if s1 + len(builder.points[p2]) - 1 == coincidences:
-                yield (p1, p2)
-                emitted += 1
-                if emitted > 160:
-                    return
-
-
 def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> ProjArrangement:
     """Cone over a plane base plus three planes off the apex.
 
@@ -473,10 +426,11 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
     mutual intersection is a line omega of the pencil spanned by w2 and w3.
     The anchor counts (s2, s3, s23) say how many existing crossings each of
     w2, w3 and omega must absorb, which walks the count 4 f(base) + 3 n + 1
-    downward in steps of one.  w3 is scanned over the base, omega over the
-    base and w3, so it can be anchored on base crossings and on crossings
-    of w3; w2 is then a line of the pencil of omega and w3, through its
-    anchor when s2 = 1, and no linear system is solved.
+    downward in steps of one.  w3 is placed over the base through anchors
+    saving s3, omega over the base and w3 through anchors saving s23, led
+    by a base double point z1 off w3 when s23 > 0; w2 is then a line of the
+    pencil of omega and w3, through its anchor when s2 = 1, and no linear
+    system is solved.
     """
     if base.d != 2:
         raise PlacementError("the base must be a plane arrangement")
@@ -485,29 +439,24 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
     builder = _PlaneBuilder(base.covectors)
     doubles = builder.double_points()
     n2 = base.n
-
     if len(doubles) < s2 + s3 + s23:
         raise PlacementError("not enough double points in the base")
-    a3 = doubles[:s3]
-    w3 = builder.scan_line_through(list(a3), n2 - s3)
+    with_w3 = _PlaneBuilder(base.covectors)
+    w3 = with_w3.place_line(s3)
 
-    # anchors of w2 and omega, taken off w3
-    pool = [p for p in doubles if p not in a3 and dot(w3, p) != 0]
+    # anchors of w2 and omega, taken off w3; for s23 = 2 the walk pairs z1
+    # with each double point off its lines but w2's anchor, on a near-pencil
+    # base a crossing of w3 with a base line
+    pool = [p for p in doubles if dot(w3, p) != 0]
     if len(pool) < s2 + (1 if s23 else 0):
         raise PlacementError("anchor pool exhausted")
-    z1 = pool[s2:s2 + 1] if s23 else []
-    anchor_sets: Iterable[list[Vec]] = [z1]
-    if s23 == 2:
-        # the second omega anchor is the crossing of w3 with a base line; the
-        # crossing bound refuses a base crossing and a line through z1
-        anchor_sets = (z1 + [primitive_normalize(cross3(w3, line))] for line in builder.lines)
+    z1 = pool[s2] if s23 else None
 
     # a new line in RP^2 adds one region per distinct point it crosses, so
     # these counts give f(base + w2) = f(base) + n - s2 and, with the scan's
     # n - s3 for w3, f(base + w3 + omega) = f(base) + (n - s3) + (n + 1 - s23)
-    with_w3 = _PlaneBuilder(builder.lines + [w3])
-    for anchors in anchor_sets:
-        for omega in with_w3.lines_through(anchors, n2 + 1 - s23):
+    for anchors in with_w3.anchor_sets(s23, z1, pool[:s2]):
+        for omega in with_w3.lines_through(anchors):
             # the planes (w2, b) and (w3, 1) meet above omega = w2 - b w3
             if s2:
                 # omega misses every crossing but its anchors, so omega . p != 0

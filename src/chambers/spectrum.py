@@ -89,7 +89,7 @@ def _catalogue(n: int, d: int, cap: int | None):
         for k, programs in enumerate(gn.PENCIL_PROGRAMS[1:n - 1], start=1):
             q = n - k
             for program, saving in programs:
-                f = q * (k + 1) + k * (k - 1) // 2 - saving
+                f = gn.pencil_with_extras_count(q, k, saving)
                 if fits(f):
                     yield Recipe("pencil_extras", (q, program), "projective", n, 2, f)
     else:

@@ -243,6 +243,14 @@ class TestGen:
         assert code == 0, captured.err
         assert captured.err == f"count verified: f = {f}\n"
 
+    def test_unplaceable_coincidences_name_their_count(self, capsys):
+        # near_pencil(9) has no crossings whose savings add up to 9
+        code = main(["gen", "two-extra", "-n", "11", "--coincidences", "9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: 9 trace coincidences are not realizable over this base\n"
+
     @pytest.mark.parametrize("argv", [
         ["--extras", "2", "--through", "0", "9"],
         ["--extras", "2", "--through", "-1", "0"],

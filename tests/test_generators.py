@@ -48,6 +48,27 @@ class TestDoublePencil:
             gn.double_pencil(1, 5, True)
 
 
+# the recipes (q, program) of plane_recipes(10) that raised PlacementError
+# while cross2 and stack_cross tried only their first anchor pair
+UNBUILT_WITH_ONE_ANCHOR_PAIR = {(5, ("fresh",) + tail) for tail in [
+    ("cross1", "cross1", "cross1", "cross2"),
+    ("cross1", "cross1", "cross1", "stack_cross"),
+    ("cross1", "cross1", "cross2", "cross2"),
+    ("cross1", "cross1", "cross2", "stack"),
+    ("cross1", "cross1", "cross2", "stack_cross"),
+    ("cross1", "cross1", "stack", "cross2"),
+    ("cross1", "cross1", "stack_cross", "cross2"),
+    ("cross1", "cross2", "cross1", "stack_cross"),
+    ("cross1", "cross2", "stack", "cross2"),
+    ("cross1", "stack", "cross1", "stack_cross"),
+    ("cross1", "stack", "cross2", "cross2"),
+    ("cross1", "stack_cross", "cross1", "cross2"),
+    ("stack", "cross1", "cross1", "cross2"),
+    ("stack", "cross1", "cross1", "stack_cross"),
+    ("stack", "cross1", "cross2", "cross2"),
+]}
+
+
 class TestPencilWithExtras:
     @pytest.mark.parametrize("q,program", [
         (5, ("fresh",)),
@@ -63,14 +84,24 @@ class TestPencilWithExtras:
         (3, ("fresh", "cross1", "fresh", "stack_cross")),  # f = 18
     ])
     def test_predicted_count_matches(self, q, program):
-        predicted = gn.pencil_with_extras_count(q, program)
-        assert predicted is not None
+        savings = gn.pencil_extras_savings(program)
+        assert savings is not None
         arr = gn.pencil_with_extras(q, program)
         assert validate(arr) == []
-        assert count_regions_projective(arr) == predicted
+        assert count_regions_projective(arr) == gn.pencil_with_extras_count(
+            q, len(program), sum(savings))
 
     def test_near_pencil_equivalence(self):
-        assert gn.pencil_with_extras_count(7, ("fresh",)) == 2 * 8 - 2
+        assert gn.pencil_with_extras_count(7, 1, 0) == 2 * 8 - 2
+
+    def test_every_plane_recipe_at_ten_lines_builds_to_its_count(self):
+        recipes = sp.plane_recipes(10)
+        assert len(recipes) == 440
+        for recipe in recipes:
+            arr = sp.build_recipe(recipe)
+            assert count_regions_projective(arr) == recipe.expected_f, recipe.describe()
+            if recipe.params in UNBUILT_WITH_ONE_ANCHOR_PAIR:
+                assert count_regions_oracle(arr) == recipe.expected_f, recipe.describe()
 
     @pytest.mark.parametrize("program", [
         ("cross1",),              # no points exist yet
@@ -257,39 +288,71 @@ def test_builder_counts_distinct_crossings(free, apex, spokes, probe):
         assert builder.points == gn._PlaneBuilder(builder.lines).points
 
 
-class TestScanLineThrough:
-    @pytest.mark.parametrize("anchored", [False, True])
-    def test_request_above_the_bound_tries_no_candidate(self, monkeypatch, anchored):
-        builder = gn._PlaneBuilder(gn.near_pencil(6).covectors)
-        apex = max(builder.points, key=builder.multiplicity)
-        anchors = [apex] if anchored else []
-        bound = 2 if anchored else 6  # six lines, five of them through the apex
-        tried = []
-        count = builder.crossings
-        monkeypatch.setattr(builder, "crossings", lambda line: tried.append(line) or count(line))
-        with pytest.raises(gn.PlacementError, match="no admissible line found"):
-            builder.scan_line_through(anchors, bound + 1)
-        assert tried == []
-        builder.scan_line_through(anchors, bound)
-        assert tried
+class TestAnchorWalk:
+    def test_every_tried_anchor_tuple_saves_what_was_asked(self, monkeypatch):
+        walk, scan = gn._PlaneBuilder.anchor_sets, gn._PlaneBuilder.lines_through
+        last, wrong = [], []
 
+        def record_walk(builder, saving, through=None, avoid=()):
+            for anchors in walk(builder, saving, through, avoid):
+                on = [builder.points[a] for a in anchors]
+                if (sum(len(lines) - 1 for lines in on) != saving
+                        or any(a & b for a, b in itertools.combinations(on, 2))):
+                    wrong.append((anchors, saving))
+                last[:] = [(builder, anchors)]
+                yield anchors
 
-    def test_no_catalogue_scan_asks_above_its_bound(self, monkeypatch):
-        above = []
-        scan = gn._PlaneBuilder.scan_line_through
+        def record_scan(builder, anchors):
+            # every line is scanned through the tuple the walk just gave that builder
+            assert last == [(builder, tuple(anchors))]
+            return scan(builder, anchors)
 
-        def record(builder, anchors, expected_new_points):
-            if expected_new_points > builder.crossing_bound(anchors):
-                above.append((anchors, expected_new_points))
-            return scan(builder, anchors, expected_new_points)
-
-        monkeypatch.setattr(gn._PlaneBuilder, "scan_line_through", record)
-        for recipe in sp.projective_recipes(10, 3):
+        monkeypatch.setattr(gn._PlaneBuilder, "anchor_sets", record_walk)
+        monkeypatch.setattr(gn._PlaneBuilder, "lines_through", record_scan)
+        recipes = [r for n in range(8, 13) for r in sp.plane_recipes(n)]
+        for recipe in recipes + list(sp.projective_recipes(10, 3)):
             try:
                 sp.build_recipe(recipe)
             except gn.PlacementError:
                 pass
-        assert above == []
+        assert last
+        assert wrong == []
+
+
+@given(st.lists(VEC3, min_size=2, max_size=7), st.integers(0, 6), st.data())
+@settings(deadline=None, max_examples=200)
+def test_anchor_walk_yields_every_anchor_set_once(free, saving, data):
+    builder = gn._PlaneBuilder(dict.fromkeys(primitive_normalize(v) for v in free))
+    points = list(builder.points)
+    if not points:
+        return
+    through = data.draw(st.none() | st.sampled_from(points))
+    avoid = set(data.draw(st.lists(st.sampled_from(points), max_size=3)))
+
+    def gain(p):
+        return len(builder.points[p]) - 1
+
+    want = set()
+    for size in (0, 1, 2):
+        for anchors in itertools.combinations(points, size):
+            lines = [builder.points[a] for a in anchors]
+            if sum(map(gain, anchors)) != saving or any(
+                    a & b for a, b in itertools.combinations(lines, 2)):
+                continue
+            if through is not None and through not in anchors:
+                continue
+            if any(a in avoid for a in anchors if a != through):
+                continue
+            want.add(frozenset(anchors))
+    got = list(builder.anchor_sets(saving, through, avoid))
+    assert len(got) == len(want) == len({frozenset(t) for t in got})
+    assert {frozenset(t) for t in got} == want
+    if through is not None:
+        assert all(t[0] == through for t in got)
+    else:
+        # double points alone, then one crossing of more lines, then pairs led by one
+        stages = [0 if all(gain(a) == 1 for a in t) else len(t) for t in got]
+        assert stages == sorted(stages)
 
 
 @given(st.lists(VEC3, min_size=2, max_size=6), st.data())
@@ -300,17 +363,16 @@ def test_scan_meets_no_crossing_but_its_anchors(free, data):
         return
     anchors = data.draw(st.lists(st.sampled_from(list(builder.points)), max_size=2, unique=True))
     bound = len(builder.lines) - sum(len(builder.points[a]) - 1 for a in anchors)
-    try:
-        line = builder.scan_line_through(anchors, bound)
-    except gn.PlacementError:
+    lines = list(itertools.islice(builder.lines_through(anchors), 3))
+    if not lines:
         # the only candidate, the line through both anchors, is placed or
         # crosses a third point
         assert len(anchors) == 2
         return
-    assert line not in builder.lines
-    assert {p for p in builder.points if dot(line, p) == 0} == set(anchors)
-    with pytest.raises(gn.PlacementError):
-        builder.scan_line_through(anchors, bound + 1)
+    for line in lines:
+        assert line not in builder.lines
+        assert {p for p in builder.points if dot(line, p) == 0} == set(anchors)
+        assert builder.crossings(line) == bound
 
 
 class TestToricConstructionA:
