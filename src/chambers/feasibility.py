@@ -40,11 +40,21 @@ strictly on the required side of the next row.  Otherwise it solves its
 program warm, from a copy of the basis of its nearest solved ancestor, which
 is one to a few columns short of optimal; in the walk that takes about two
 pivots, where a cold start takes six or seven.
+
+A child found empty leaves a Gordan certificate in its optimal basis: the
+basic lambda columns with rhs > 0 weigh their signed rows so that the rows
+sum to zero and the weights to den.  The walk checks both sums exactly (a
+failure is a `RuntimeError`, like a witness that fails) and files the
+certificate under the child's depth and side by the depths and signs of the
+walked rows it uses.  A later child at that depth and side whose signs agree
+there is empty by the same certificate and costs no program.  The file lives
+for one walk.
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from itertools import chain, repeat
+from operator import add, and_, mul
 from typing import Iterator, Sequence
 
 from .exactlin import Vec, dot, primitive_scale
@@ -94,7 +104,7 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int,
     for r in rows:
         if len(r) != dim:
             raise ValueError(f"row {tuple(r)} does not have length {dim}")
-    if not all(type(a) is int for r in rows for a in r):
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
         raise ValueError("rows must have int entries; clear denominators first")
     if not rows:
         return (0,) * dim
@@ -103,24 +113,26 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int,
         basis = PhaseOneBasis(dim)
     elif len(basis.ids) != m:
         raise ValueError(f"basis is for {len(basis.ids) - 1} variables, not {dim}")
-    cols = [(*r, 1) for r in rows]
-    k = len(cols)
+    k = len(rows)
     ids, inv, rhs = basis.ids, basis.inv, basis.rhs
 
-    def order(c: int) -> int:  # Bland: lambdas by index, then artificials
-        return c if c >= 0 else k + ~c
-
     while True:
-        y = [0] * m  # den * dual: the rows of den * B^-1 basic in an artificial
+        # den * dual: the sum of the rows of den * B^-1 basic in an artificial.
+        # With one such row y is that row itself, read before the pivot below.
+        y = None
         for i in range(m):
             if ids[i] < 0:
-                y = list(map(add, y, inv[i]))
-        for q, col in enumerate(cols):
-            if sum(map(mul, y, col)) > 0:
+                y = inv[i] if y is None else list(map(add, y, inv[i]))
+        if y is None:
+            break  # every artificial has left, so the optimum is zero
+        # (r, 1) prices in when y[:dim] . r > -y[dim]; map stops at the shorter
+        bar = -y[dim]
+        for q, r in enumerate(rows):
+            if sum(map(mul, y, r)) > bar:
                 break
         else:
             break
-        u = [sum(map(mul, row, col)) for row in inv]
+        u = [sum(map(mul, row, r)) + row[dim] for row in inv]
         p = None
         for i in range(m):
             if u[i] <= 0:
@@ -130,7 +142,9 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int,
                 continue
             lhs = rhs[i] * u[p]
             rhs_p = rhs[p] * u[i]
-            if lhs < rhs_p or (lhs == rhs_p and order(ids[i]) < order(ids[p])):
+            if lhs < rhs_p or (lhs == rhs_p  # Bland: lambdas by index, then artificials
+                               and (ids[i] if ids[i] >= 0 else k + ~ids[i])
+                               < (ids[p] if ids[p] >= 0 else k + ~ids[p])):
                 p = i
         if p is None:
             raise RuntimeError("phase-one objective unbounded; sign error")
@@ -160,6 +174,20 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int,
     return primitive_scale(x)
 
 
+def _certificate_support(held: Sequence[Vec], basis: PhaseOneBasis, dim: int) -> list[int]:
+    """Indices into `held` of the Gordan certificate an infeasible solve left.
+
+    At an optimum of value zero the basic lambda columns with rhs > 0 weigh
+    their rows by rhs: the weights add up to den and the weighted rows to the
+    zero vector.  Both sums are checked exactly before the support is used.
+    """
+    support = [(j, w) for j, w in zip(basis.ids, basis.rhs) if j >= 0 and w > 0]
+    if (sum(w for _, w in support) != basis.den or basis.den <= 0
+            or any(sum(w * held[j][c] for j, w in support) for c in range(dim))):
+        raise RuntimeError("certificate verification failed")
+    return [j for j, _ in support]
+
+
 def walk_sign_vectors(base_rows: Sequence[Vec], witness: Vec, rows: Sequence[Vec],
                       dim: int) -> Iterator[tuple[tuple[int, ...], Vec]]:
     """Every feasible strict sign vector of `rows` under the base rows.
@@ -173,22 +201,43 @@ def walk_sign_vectors(base_rows: Sequence[Vec], witness: Vec, rows: Sequence[Vec
     all-artificial basis above the first solve).  A child that keeps its
     parent's witness keeps that basis too; a child that solves pivots a copy
     of it, so siblings never share a basis that one of them changed.
+
+    A child found empty files its verified certificate under (depth, side)
+    by the depths of the walked rows in its support (base rows are always
+    held), and a later child there whose signs match at those depths is not
+    solved.  Sets of depths are bit masks, and the signs of a prefix are the
+    mask `plus` of its +1 depths.
     """
-    stack = [((), tuple(base_rows), witness, PhaseOneBasis(dim))]
+    n, nbase = len(rows), len(base_rows)
+    negated = [tuple(-a for a in row) for row in rows]
+    refuted: dict[tuple[int, int], dict[int, set[int]]] = {}
+    stack = [(0, tuple(base_rows), witness, PhaseOneBasis(dim))]
     while stack:
-        signs, held, x, basis = stack.pop()
-        depth = len(signs)
-        if depth == len(rows):
-            yield signs, x
+        plus, held, x, basis = stack.pop()
+        depth = len(held) - nbase
+        if depth == n:
+            yield tuple(1 if plus >> t & 1 else -1 for t in range(n)), x
             continue
         row = rows[depth]
         val = dot(row, x)
-        for sign in (1, -1):
-            grown = held + (row if sign == 1 else tuple(-a for a in row),)
+        for sign, child_plus, signed in ((1, plus | 1 << depth, row),
+                                         (-1, plus, negated[depth])):
+            grown = held + (signed,)
             if sign * val > 0:
-                stack.append((signs + (sign,), grown, x, basis))
+                stack.append((child_plus, grown, x, basis))
+                continue
+            known = refuted.get((depth, sign))
+            # refuted when plus & mask is a pattern recorded under some mask
+            if known and any(map(set.__contains__, known.values(),
+                                 map(and_, known, repeat(plus)))):
                 continue
             solved = basis.copy()
             child = feasible_point(grown, dim, solved)
             if child is not None:
-                stack.append((signs + (sign,), grown, child, solved))
+                stack.append((child_plus, grown, child, solved))
+                continue
+            mask = 0
+            for j in _certificate_support(grown, solved, dim):
+                if nbase <= j < nbase + depth:
+                    mask |= 1 << (j - nbase)
+            refuted.setdefault((depth, sign), {}).setdefault(mask, set()).add(plus & mask)

@@ -11,7 +11,11 @@ Enumeration is the shared depth-first walk over sign prefixes
 carries a witness point, and a child only pays for a linear program when the
 parent's witness does not lie strictly on the required side of the next
 hyperplane.  That program starts warm from the phase-one basis of the
-nearest solved ancestor and takes about two pivots.
+nearest solved ancestor and takes about two pivots.  A program that finds
+its child empty leaves a Gordan certificate (a convex combination of the
+held signed rows that is zero), which the walk verifies exactly and, for the
+rest of that one walk, uses to discard every child with the same signs on
+the certificate's rows without solving it.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chambers import feasibility
 from chambers.exactlin import cross3, primitive_scale
 from chambers.feasibility import PhaseOneBasis, feasible_point, walk_sign_vectors
 from chambers.oracle import sign_vector_feasible
@@ -132,6 +135,52 @@ class TestWarmStart:
             feasible_point([(1, 0, 0)], 3, PhaseOneBasis(2))
 
 
+def kernel_stream(seed=1209, count=400):
+    """Seeded systems in dim 2..4 with fresh, repeated, antiparallel, combined
+    and zero rows, each with a prefix length to warm-start from (0: cold)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(2, 4)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            kind = (rng.choice(("fresh", "fresh", "fresh", "repeat", "flip", "sum", "sum",
+                                "fresh", "zero")) if rows else "fresh")
+            if kind == "fresh":
+                rows.append(tuple(rng.randint(-5, 5) for _ in range(dim)))
+            elif kind == "zero":
+                rows.append((0,) * dim)
+            elif kind == "sum":
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(1, 3), rng.randint(-3, 3)
+                rows.append(tuple(s * p + t * q for p, q in zip(a, b)))
+            else:
+                r = rng.choice(rows)
+                rows.append(r if kind == "repeat" else tuple(-a for a in r))
+        yield dim, rows, rng.randint(0, len(rows))
+
+
+# sha256 over (witness or None, ids, inv, rhs, den) after every solve of
+# kernel_stream(): the prefix first when the system warm-starts, then the
+# whole system on the same basis.  It pins feasible_point's pivots, and so
+# its witnesses and the bases it leaves, to those of the plain revised
+# simplex it was first written as; a change that only makes it faster
+# leaves the digest as it is.
+KERNEL_DIGEST = "37f2921a255e9b7be514d6c2021542199ad272e6fc0b557a9e9b3e7717aca273"
+
+
+def test_kernel_pivots_are_pinned():
+    digest = hashlib.sha256()
+    outcomes = {True: 0, False: 0}
+    for dim, rows, cut in kernel_stream():
+        basis = PhaseOneBasis(dim)
+        for part in ((rows[:cut],) if cut else ()) + (rows,):
+            x = feasible_point(part, dim, basis)
+            digest.update(repr((x, basis.ids, basis.inv, basis.rhs, basis.den)).encode())
+        outcomes[x is None] += 1
+    assert outcomes == {True: 201, False: 199}
+    assert digest.hexdigest() == KERNEL_DIGEST
+
+
 def test_randomized_dim4_witnesses_verify():
     rng = random.Random(7)
     for _ in range(60):
@@ -168,3 +217,108 @@ def test_walk_solves_both_children_below_a_witness_on_the_next_row():
         assert math.gcd(*x) == 1
         assert all(s * sum(a * b for a, b in zip(u, x)) > 0
                    for s, u in zip((1,) + signs, arr.covectors))
+
+
+def cube_rows(dim):
+    """The toric cube engine's base rows in dim homogeneous coordinates:
+    w > 0 and 0 < x_i < w for the dim - 1 affine coordinates."""
+    rows = [(0,) * (dim - 1) + (1,)]
+    for i in range(dim - 1):
+        e = [0] * dim
+        e[i] = 1
+        rows.append(tuple(e))
+        e[i], e[-1] = -1, 1
+        rows.append(tuple(e))
+    return rows
+
+
+@st.composite
+def walk_case(draw):
+    """Up to 8 nonzero rows in dim 2..4, with repeated, antiparallel and
+    concurrent rows (a combination of two earlier rows passes through their
+    common flat), and whether to walk under the cube rows."""
+    dim = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "repeat", "antiparallel", "concurrent"))
+                    if rows else st.just("fresh"))
+        if kind == "fresh":
+            row = draw(nonzero_row(dim))
+        else:
+            r = draw(st.sampled_from(tuple(rows)))
+            if kind == "repeat":
+                row = r
+            elif kind == "antiparallel":
+                row = tuple(-draw(st.integers(1, 2)) * a for a in r)
+            else:
+                q = draw(st.sampled_from(tuple(rows)))
+                a, b = draw(st.integers(1, 2)), draw(st.sampled_from((-2, -1, 1, 2)))
+                row = tuple(a * x + b * y for x, y in zip(r, q))
+                if not any(row):
+                    row = r
+        rows.append(row)
+    return dim, rows, draw(st.booleans())
+
+
+def solves_of_walk(base, witness, rows, dim):
+    """The walk's leaves, and (held rows, certificate or None) per LP it solved.
+
+    A certificate is the set of (position, held row) pairs of its support,
+    read from the basis the LP left and checked by the walk's own verifier.
+    """
+    solves = []
+
+    def recording(held, dim, basis=None):
+        x = feasible_point(held, dim, basis)
+        cert = None
+        if x is None:
+            cert = {(j, held[j]) for j in feasibility._certificate_support(held, basis, dim)}
+        solves.append((held, cert))
+        return x
+
+    with mock.patch.object(feasibility, "feasible_point", recording):
+        leaves = dict(walk_sign_vectors(base, witness, rows, dim))
+    return leaves, solves
+
+
+class TestWalkAgainstBruteForce:
+    """The walk's leaves are exactly the sign vectors that Fourier-Motzkin
+    finds feasible, over all of {+1, -1}^n, and it never solves a child that
+    a certificate it already holds refutes.  A certificate filed under the
+    wrong side is never found again (a child it refutes keeps its parent's
+    witness), so only the second check sees it; one keyed by the wrong
+    depths drops leaves."""
+
+    @given(walk_case())
+    @settings(deadline=None, max_examples=150)
+    def test_leaves_are_the_feasible_sign_vectors(self, case):
+        dim, rows, on_cube = case
+        base = cube_rows(dim) if on_cube else []
+        witness = (1,) * (dim - 1) + (2,) if on_cube else (0,) * dim
+        leaves, solves = solves_of_walk(base, witness, rows, dim)
+        want = {signs for signs in itertools.product((1, -1), repeat=len(rows))
+                if fourier_motzkin_feasible(
+                    base + [tuple(s * a for a in r) for s, r in zip(signs, rows)])}
+        assert set(leaves) == want
+        for signs, x in leaves.items():
+            assert math.gcd(*x) == 1
+            assert all(sum(a * b for a, b in zip(r, x)) > 0 for r in base)
+            assert all(s * sum(a * b for a, b in zip(r, x)) > 0 for s, r in zip(signs, rows))
+        for i, (held, _) in enumerate(solves):
+            for earlier, cert in solves[:i]:
+                refuted = (cert is not None and len(earlier) == len(held)
+                           and all(held[j] == r for j, r in cert))
+                assert not refuted, f"{held} was solved again after {earlier} refuted it"
+
+
+def test_a_forged_certificate_is_refused():
+    held = ((1, 0), (-1, 0), (0, 1))
+    basis = PhaseOneBasis(2)
+    assert feasible_point(held[:2], 2, basis) is None
+    assert sorted(feasibility._certificate_support(held, basis, 2)) == [0, 1]
+    basis.ids, basis.rhs, basis.den = [0, 2, ~2], [1, 1, 0], 2  # (1, 0) + (0, 1) != 0
+    with pytest.raises(RuntimeError, match="certificate verification failed"):
+        feasibility._certificate_support(held, basis, 2)
+    basis.ids, basis.den = [0, 1, ~2], 3  # weights 1 + 1 do not add up to den
+    with pytest.raises(RuntimeError, match="certificate verification failed"):
+        feasibility._certificate_support(held, basis, 2)

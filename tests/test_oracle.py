@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from chambers import toric
+from chambers import feasibility, oracle, toric
+from chambers.generators import general_position, general_position_count
 from chambers.oracle import TooLargeError, count_regions_oracle, sign_vector_feasible
 from chambers.projective import ProjArrangement, count_regions_projective
 
@@ -93,3 +94,18 @@ class TestCountRegionsOracle:
         f = count_regions_projective(arr)
         for i in range(arr.n):
             assert count_regions_projective(arr.delete(i)) <= f
+
+    def test_lp_count_on_gp_12_3(self, monkeypatch):
+        # Every feasible_point call, the walk's and the root's.  The walk
+        # solved 562 LPs here before it reused its Gordan certificates.
+        calls = []
+        solve = feasibility.feasible_point
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(feasibility, "feasible_point", counting)
+        monkeypatch.setattr(oracle, "feasible_point", counting)
+        assert count_regions_oracle(general_position(12, 3)) == general_position_count(12, 3)
+        assert len(calls) == 352
