@@ -1,6 +1,10 @@
 """Command-line front end.
 
-Subcommands: count, bounds, spectrum, gen, search, verify-acceptance.
+Subcommands: count, bounds, spectrum, gen, search, verify-acceptance.  The
+table `SUBCOMMANDS` gives each its help line, the function that adds its
+arguments and its handler.  An invocation whose first argument names a
+subcommand builds that one sub-parser; any other (none, -h, an unknown
+command) builds all six, so the top-level help and errors list every one.
 JSON on stdout is the canonical output (CSV is offered for spectrum search
 tables); diagnostics go to stderr.  All behaviour is driven by flags, never
 by environment variables, so runs are reproducible.
@@ -191,11 +195,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cap = None if args.cap in (None, "auto") else int(args.cap)
     if args.space == "projective":
-        report = sp.search_projective(args.n, args.d, budget=args.budget, cap=cap)
+        report = sp.search_projective(args.n, args.d, budget=args.budget, cap=args.cap)
     else:
-        report = sp.search_toric(args.n, args.d, budget=args.budget, cap=cap)
+        report = sp.search_toric(args.n, args.d, budget=args.budget, cap=args.cap)
     payload = report.to_json()
     if args.json:
         with open(args.json, "w") as fh:
@@ -217,41 +220,35 @@ def cmd_verify_acceptance(args) -> int:
     return acceptance.battery_exit_code(results)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chambers",
-        description="Exact region counting for projective hyperplane "
-                    "arrangements and toric subtorus arrangements.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="count regions of an arrangement file")
+def _count_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--engine", choices=("auto", "zaslavsky", "oracle", "cube"),
                    default="auto")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("bounds", help="evaluate the lower-bound table")
+
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-m", type=int, default=None,
                    help="maximal point multiplicity, enables the m-dependent bounds")
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("spectrum", help="print predicted realizable-count sets")
+
+def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, default=3)
-    p.add_argument("--first-four", action="store_true",
-                   help="four smallest counts in RP^d (d >= 3, n >= 2d+5)")
-    p.add_argument("--low-range-3d", action="store_true",
-                   help="all 36 counts up to 12n-60 in RP^3 (n >= 50)")
-    p.add_argument("--toric", action="store_true",
-                   help="predicted toric spectrum up to --cap")
-    p.add_argument("--martinov", action="store_true",
-                   help="plane spectrum members up to 4n-12")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--first-four", action="store_true",
+                      help="four smallest counts in RP^d (d >= 3, n >= 2d+5)")
+    mode.add_argument("--low-range-3d", action="store_true",
+                      help="all 36 counts up to 12n-60 in RP^3 (n >= 50)")
+    mode.add_argument("--toric", action="store_true",
+                      help="predicted toric spectrum up to --cap")
+    mode.add_argument("--martinov", action="store_true",
+                      help="plane spectrum members up to 4n-12")
     p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("gen", help="generate an arrangement from a family")
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=(
         "general-position", "double-pencil", "near-pencil", "cone",
         "two-extra", "toric-a", "toric-b"))
@@ -274,33 +271,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--expect", action="store_true",
                    help="fail unless the exact count matches the family's formula")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("search", help="search realizable counts over the catalogue")
+
+def _search_cap(value: str):
+    """`search --cap`: `auto` (None: the rule's own cap) or an integer."""
+    try:
+        return None if value == "auto" else int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer, got {value!r}") from None
+
+
+def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", choices=("projective", "toric"), default="projective")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--cap", default="auto")
+    p.add_argument("--cap", type=_search_cap, default="auto")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", default=None)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("verify-acceptance", help="run the acceptance battery")
+
+def _verify_acceptance_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
                    help="seed for the random violation-hunting stream")
     p.add_argument("--only", type=int, action="append", default=None,
                    help="run only the given criterion number, 1..8 (repeatable)")
-    p.set_defaults(func=cmd_verify_acceptance)
 
+
+# name -> (help, argument adder, handler), in the order the help lists them.
+SUBCOMMANDS = {
+    "count": ("count regions of an arrangement file", _count_arguments, cmd_count),
+    "bounds": ("evaluate the lower-bound table", _bounds_arguments, cmd_bounds),
+    "spectrum": ("print predicted realizable-count sets", _spectrum_arguments,
+                 cmd_spectrum),
+    "gen": ("generate an arrangement from a family", _gen_arguments, cmd_gen),
+    "search": ("search realizable counts over the catalogue", _search_arguments,
+               cmd_search),
+    "verify-acceptance": ("run the acceptance battery", _verify_acceptance_arguments,
+                          cmd_verify_acceptance),
+}
+
+
+def build_parser(names) -> argparse.ArgumentParser:
+    """The `chambers` parser with the sub-parsers of `names` only."""
+    parser = argparse.ArgumentParser(
+        prog="chambers",
+        description="Exact region counting for projective hyperplane "
+                    "arrangements and toric subtorus arrangements.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    if len(names) < len(SUBCOMMANDS):
+        # An "unrecognized arguments" error prints this usage line, which names
+        # all six; the full parser's missing-command error names "command".
+        sub.metavar = "{" + ",".join(SUBCOMMANDS) + "}"
+    for name in names:
+        help_text, add_arguments, _ = SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    names = argv[:1] if argv and argv[0] in SUBCOMMANDS else tuple(SUBCOMMANDS)
+    args = build_parser(names).parse_args(argv)
+    _, _, handler = SUBCOMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

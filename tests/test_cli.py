@@ -1,8 +1,13 @@
+import contextlib
+import gc
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -401,3 +406,127 @@ class TestColdStart:
 
     def test_the_grid_loads_both(self):
         assert fresh_python(GRID_IN_FRESH_PROCESS) == ["numpy", "scipy"]
+
+
+def invoke(argv):
+    """(exit code, stdout, stderr) of `chambers ARGV`, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+SUBCOMMAND_NAMES = ["count", "bounds", "spectrum", "gen", "search", "verify-acceptance"]
+
+# Help and usage errors whose text must not change.  `spectrum -h` and a
+# spectrum usage error are pinned as text below: their usage line shows the
+# mutually exclusive modes.
+SURFACE = [[], ["-h"], ["--help"],
+           *([name, "-h"] for name in SUBCOMMAND_NAMES if name != "spectrum"),
+           ["frobnicate"], ["count"], ["bounds"], ["gen"], ["search"],
+           ["count", "--engine", "bogus", "a.json"], ["count", "a.json", "--bogus"]]
+SURFACE_SHA256 = "056e8347e1be790fbcdabf4e4dff6aeca275385377ab9607c3f7049def9cd9fc"
+
+SPECTRUM_USAGE = """\
+usage: chambers spectrum [-h] -n N [-d D]
+                         [--first-four | --low-range-3d | --toric | --martinov]
+                         [--cap CAP]
+"""
+
+SEARCH_USAGE = """\
+usage: chambers search [-h] [--space {projective,toric}] -n N -d D [--cap CAP]
+                       [--budget BUDGET] [--json JSON] [--csv CSV]
+"""
+
+
+class TestSurface:
+    """The text and exit codes of help and usage errors, at 80 columns."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_help_and_usage_errors_are_pinned(self):
+        rows = [[argv, *invoke(argv)] for argv in SURFACE]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SURFACE_SHA256
+
+    def test_spectrum_help_shows_the_exclusive_modes(self):
+        code, out, err = invoke(["spectrum", "-h"])
+        assert (code, err) == (0, "")
+        assert out == SPECTRUM_USAGE + """
+options:
+  -h, --help      show this help message and exit
+  -n N
+  -d D
+  --first-four    four smallest counts in RP^d (d >= 3, n >= 2d+5)
+  --low-range-3d  all 36 counts up to 12n-60 in RP^3 (n >= 50)
+  --toric         predicted toric spectrum up to --cap
+  --martinov      plane spectrum members up to 4n-12
+  --cap CAP
+"""
+
+    def test_spectrum_without_n_is_usage_error(self):
+        assert invoke(["spectrum"]) == (2, "", SPECTRUM_USAGE + (
+            "chambers spectrum: error: the following arguments are required: -n\n"))
+
+    def test_conflicting_spectrum_modes_are_usage_error(self):
+        argv = ["spectrum", "--first-four", "--toric", "-n", "11", "-d", "3"]
+        assert invoke(argv) == (2, "", SPECTRUM_USAGE + (
+            "chambers spectrum: error: argument --toric: "
+            "not allowed with argument --first-four\n"))
+
+    @pytest.mark.parametrize("modes", [
+        ("--first-four", "--low-range-3d"), ("--low-range-3d", "--martinov"),
+        ("--toric", "--martinov"), ("--martinov", "--first-four", "--toric"),
+    ])
+    def test_any_two_spectrum_modes_conflict(self, modes):
+        code, out, err = invoke(["spectrum", "-n", "11", "-d", "3", *modes])
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
+    def test_spectrum_without_mode_names_the_modes(self):
+        assert invoke(["spectrum", "-n", "11", "-d", "3"]) == (2, "", (
+            "choose one of --first-four, --low-range-3d, --toric, --martinov\n"))
+
+    def test_search_cap_that_is_no_integer_names_the_flag(self):
+        assert invoke(["search", "-n", "11", "-d", "3", "--cap", "x"]) == (
+            2, "", SEARCH_USAGE + ("chambers search: error: argument --cap: "
+                                   "expected 'auto' or an integer, got 'x'\n"))
+
+
+def refuse_to_build(parser):
+    raise AssertionError(f"built the sub-parser {parser.prog!r}")
+
+
+class TestOneSubParser:
+    """An invocation that names a subcommand builds that sub-parser only."""
+
+    def test_count_builds_only_its_own_sub_parser(self, monkeypatch, triangle_file):
+        table = {name: (help_text, add_arguments if name == "count" else refuse_to_build,
+                        handler)
+                 for name, (help_text, add_arguments, handler) in cli.SUBCOMMANDS.items()}
+        monkeypatch.setattr(cli, "SUBCOMMANDS", table)
+        code, out, err = invoke(["count", triangle_file])
+        assert (code, json.loads(out), err) == (0, {"f": 4}, "")
+
+    def test_top_level_help_lists_all_six(self):
+        code, out, _ = invoke(["-h"])
+        assert code == 0
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+        assert listed == SUBCOMMAND_NAMES
+
+    def test_no_parser_outlives_a_call(self, monkeypatch, triangle_file):
+        built, build = [], cli.build_parser
+
+        def tracked(names):
+            parser = build(names)
+            built.append(weakref.ref(parser))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", tracked)
+        assert invoke(["count", triangle_file])[0] == 0
+        gc.collect()
+        assert len(built) == 1 and built[0]() is None
