@@ -99,74 +99,100 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not (args.first_four or args.low_range_3d or args.toric or args.martinov):
+        print("choose one of --first-four, --low-range-3d, --toric, --martinov",
+              file=sys.stderr)
+        return 2
+    if args.cap is not None and not args.toric:
+        raise ValueError("--cap applies to --toric only")
+    fixed_d = 3 if args.low_range_3d else 2 if args.martinov else None
+    if args.d is not None and fixed_d not in (None, args.d):
+        mode = "--low-range-3d" if args.low_range_3d else "--martinov"
+        raise ValueError(f"-d {args.d} does not apply: {mode} lists counts in RP^{fixed_d}")
+    d = 3 if args.d is None else args.d
     if args.first_four:
-        _emit(bd.first_four_counts(args.n, args.d))
+        _emit(bd.first_four_counts(args.n, d))
     elif args.low_range_3d:
         _emit(bd.low_counts_3d(args.n))
     elif args.toric:
         cap = args.cap if args.cap is not None else 2 * args.n
-        _emit(bd.toric_predicted_values(args.n, args.d, cap))
-    elif args.martinov:
-        _emit(sorted(bd.martinov_subset(args.n)))
+        _emit(bd.toric_predicted_values(args.n, d, cap))
     else:
-        print("choose one of --first-four, --low-range-3d, --toric, --martinov",
-              file=sys.stderr)
-        return 2
+        _emit(sorted(bd.martinov_subset(args.n)))
     return 0
 
 
-# Flags each family needs; two-extra needs -n only when --base is not given.
+# Family -> (flags it needs, other flags it reads); -o and --expect apply to
+# every family.  two-extra reads --base in place of -n when it is given.
 _FAMILY_FLAGS = {
-    "general-position": ("-n", "-d"),
-    "double-pencil": ("-a", "-b"),
-    "near-pencil": ("-n",),
-    "cone": ("--base",),
-    "two-extra": ("-n",),
-    "toric-a": ("-n", "-d"),
-    "toric-b": ("-n", "-d"),
+    "general-position": (("-n", "-d"), ()),
+    "double-pencil": (("-a", "-b"), ("--common",)),
+    "near-pencil": (("-n",), ()),
+    "cone": (("--base",), ("--extras", "--through")),
+    "two-extra": (("-n",), ("--coincidences", "--line-in-union")),
+    "toric-a": (("-n", "-d"), ("-k", "--offsets")),
+    "toric-b": (("-n", "-d"), ("-k", "--offsets")),
 }
+# every family flag, in the order the help lists them; --no-common sets --common's
+_GEN_FLAGS = ("-n", "-d", "-a", "-b", "-k", "--common", "--base", "--extras",
+              "--through", "--coincidences", "--line-in-union", "--offsets")
+
+
+def _flag_value(args, flag: str):
+    """The value of a family flag; None when it was not given."""
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
 
 
 def _build_from_args(args):
     family = args.family
-    needed = () if family == "two-extra" and args.base else _FAMILY_FLAGS.get(family, ())
-    missing = [flag for flag in needed if getattr(args, flag.lstrip("-")) is None]
+    needed, read = _FAMILY_FLAGS[family]
+    if family == "two-extra" and args.base is not None:
+        needed, read = (), ("--base",) + read
+    missing = [flag for flag in needed if _flag_value(args, flag) is None]
     if missing:
         raise ValueError(f"family {family!r} needs {' and '.join(missing)}")
+    unread = ["--no-common" if flag == "--common" and not args.common else flag
+              for flag in _GEN_FLAGS
+              if flag not in needed + read and _flag_value(args, flag) is not None]
+    if unread:
+        raise ValueError(f"family {family!r} does not read {' and '.join(unread)}")
     if family == "general-position":
         arr = gn.general_position(args.n, args.d)
         expected = gn.general_position_count(args.n, args.d)
     elif family == "double-pencil":
-        arr = gn.double_pencil(args.a, args.b, args.common)
-        expected = gn.double_pencil_count(args.a, args.b, args.common)
+        common = args.common is not False
+        arr = gn.double_pencil(args.a, args.b, common)
+        expected = gn.double_pencil_count(args.a, args.b, common)
     elif family == "near-pencil":
         arr = gn.near_pencil(args.n)
         expected = 2 * args.n - 2
     elif family == "cone":
         base = load_arrangement(args.base)
         point = tuple(args.through) if args.through else None
-        arr = gn.cone(base, extras=args.extras, through_point=point)
+        extras = 1 if args.extras is None else args.extras
+        arr = gn.cone(base, extras=extras, through_point=point)
         mu = gn.base_crossing(base, point)[1] if point else 1
-        expected = gn.cone_count(count_regions_projective(base), args.extras,
+        expected = gn.cone_count(count_regions_projective(base), extras,
                                  base_n=base.n, through_multiplicity=mu)
     elif family == "two-extra":
         base = gn.near_pencil(args.n - 2) if args.base is None \
             else load_arrangement(args.base)
-        arr = gn.two_extra_planes(base, coincidences=args.coincidences,
-                                  line_in_union=args.line_in_union)
+        coincidences = args.coincidences or 0
+        line_in_union = bool(args.line_in_union)
+        arr = gn.two_extra_planes(base, coincidences=coincidences,
+                                  line_in_union=line_in_union)
         expected = gn.two_extra_planes_count(
             count_regions_projective(base), base.n,
-            coincidences=args.coincidences, line_in_union=args.line_in_union)
-    elif family == "toric-a":
+            coincidences=coincidences, line_in_union=line_in_union)
+    else:  # toric-a or toric-b
+        k = args.k or 0
         offsets = [parse_rational(c) for c in args.offsets] if args.offsets else None
-        arr = gn.toric_construction_a(args.n, args.d, args.k, offsets)
-        expected = args.n - args.k
-    elif family == "toric-b":
-        offsets = [parse_rational(c) for c in args.offsets] if args.offsets else None
-        arr = gn.toric_construction_b(args.n, args.d, args.k, offsets)
-        expected = gn.toric_construction_b_count(args.n, args.d, args.k)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+        if family == "toric-a":
+            arr = gn.toric_construction_a(args.n, args.d, k, offsets)
+            expected = args.n - k
+        else:
+            arr = gn.toric_construction_b(args.n, args.d, k, offsets)
+            expected = gn.toric_construction_b_count(args.n, args.d, k)
     return arr, expected
 
 
@@ -235,7 +261,7 @@ def _bounds_arguments(p: argparse.ArgumentParser) -> None:
 
 def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("-d", type=int, default=3)
+    p.add_argument("-d", type=int, default=None)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--first-four", action="store_true",
                       help="four smallest counts in RP^d (d >= 3, n >= 2d+5)")
@@ -256,16 +282,16 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-d", type=int, default=None)
     p.add_argument("-a", type=int, default=None)
     p.add_argument("-b", type=int, default=None)
-    p.add_argument("-k", type=int, default=0)
-    p.add_argument("--common", action="store_true", default=True)
+    p.add_argument("-k", type=int, default=None)
+    p.add_argument("--common", action="store_true", default=None)
     p.add_argument("--no-common", dest="common", action="store_false")
     p.add_argument("--base", default=None, help="base arrangement file (cone, two-extra)")
-    p.add_argument("--extras", type=int, default=1)
+    p.add_argument("--extras", type=int, default=None)
     p.add_argument("--through", type=int, nargs=2, default=None,
                    help="two base lines whose crossing the extras after the "
                         "first pass through (cone, --extras 2 or more)")
-    p.add_argument("--coincidences", type=int, default=0)
-    p.add_argument("--line-in-union", action="store_true")
+    p.add_argument("--coincidences", type=int, default=None)
+    p.add_argument("--line-in-union", action="store_true", default=None)
     p.add_argument("--offsets", nargs="*", default=None,
                    help="rational offsets like 1/3 2/3")
     p.add_argument("-o", "--output", default=None)

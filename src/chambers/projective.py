@@ -5,15 +5,18 @@ covector u cuts out the hyperplane {x : u . x = 0}.  A valid arrangement has
 pairwise distinct hyperplanes and no point common to all of them (the n x
 (d+1) covector matrix has full rank d+1).
 
-Region counts and m, the largest number of hyperplanes through one point,
-come from one deletion-restriction sweep over the central lift in R^(d+1)
-(Zaslavsky, Mem. AMS 154, 1975; Stanley, *An introduction to hyperplane
-arrangements*, Lecture 2); antipodal identification halves the central count.
-The sweep restricts to a hyperplane u with no elimination: in the basis
-u[p] e_c - u[c] e_p of {u . x = 0} (c != p, u[p] the first nonzero entry
-of u) the trace of v is its vector of 2x2 minors u[p] v[c] - u[c] v[p], and
-in R^3 each trace point is a cross product, both written inline.
-`SWEEP_GUARD` caps the sweep's work, which grows as n * sum_{k<d} C(n, k).
+Region counts come from a deletion-restriction sweep over the central lift
+in R^(d+1) (Zaslavsky, Mem. AMS 154, 1975; Stanley, *An introduction to
+hyperplane arrangements*, Lecture 2); antipodal identification halves the
+central count.  m, the largest number of hyperplanes through one point,
+comes from a second walk over the same traces, a branch and bound that
+stops once no remaining hyperplane can carry a heavier line than the
+heaviest found.  Both restrict to a hyperplane u with no elimination: in
+the basis u[p] e_c - u[c] e_p of {u . x = 0} (c != p, u[p] the first
+nonzero entry of u) the trace of v is its vector of 2x2 minors
+u[p] v[c] - u[c] v[p], and in R^3 it is the point cross(u, v); `_traces`
+alone makes them.  `SWEEP_GUARD` caps both walks, whose work grows at
+most as n * sum_{k<d} C(n, k).
 
 The intersection poset is the independent reference the tests compare the
 sweep with, through its characteristic polynomial and Zaslavsky's theorem.
@@ -260,85 +263,124 @@ def evaluate_poly(coeffs: Sequence[int], t: int) -> int:
 
 def count_regions_projective(arr: ProjArrangement) -> int:
     """Number of open d-cells of RP^d cut out by the arrangement."""
-    return _guarded_sweep(arr)[0] // 2
+    _check_sweep(arr)
+    return _sweep(arr.covectors, arr.d + 1) // 2
 
 
 def max_point_multiplicity(arr: ProjArrangement) -> int:
-    """m: the largest number of hyperplanes through one projective point."""
-    return _guarded_sweep(arr)[1]
+    """m: the largest number of hyperplanes through one projective point.
+
+    A point of RP^d is a line through 0 in R^(d+1), so m is `_heaviest`
+    of the covectors, each of weight one, with nothing to beat.
+    """
+    _check_sweep(arr)
+    return _heaviest(arr.covectors, (1,) * arr.n, arr.d + 1, 0)
 
 
-def _guarded_sweep(arr: ProjArrangement) -> tuple[int, int]:
-    """`_sweep` of a valid arrangement within `SWEEP_GUARD`."""
+def _check_sweep(arr: ProjArrangement) -> None:
+    """Refuse an invalid arrangement and one above `SWEEP_GUARD`."""
     ensure_valid(arr)
     if arr.n * sum(comb(arr.n, k) for k in range(arr.d)) > SWEEP_GUARD:
         raise TooLargeError(
             f"n = {arr.n} in RP^{arr.d} exceeds the sweep guard of {SWEEP_GUARD} units")
-    return _sweep(dict.fromkeys(arr.covectors, 1), arr.d + 1)
 
 
-def _sweep(rows: dict[Vec, int], ambient: int) -> tuple[int, int]:
-    """(central regions, m) of distinct weighted hyperplanes in R^ambient.
+def _traces(u: Vec, rows: Sequence[Vec]) -> list[Vec]:
+    """The primitive trace of each of `rows` on H = {u . x = 0}, in order.
 
-    Adding a hyperplane H adds the central regions that the traces of the
-    earlier hyperplanes cut H into.  A heaviest line lies in a last
-    hyperplane H, and each earlier hyperplane through the line leaves a
-    trace on H through it, so m is the most, over H, of H's weight plus the
-    m of its traces.  In R^2, j lines cut 2j regions.
+    In the basis u[p] e_c - u[c] e_p of H (c != p, p the pivot of u) the
+    trace of V is the vector of 2x2 minors u[p] V[c] - u[c] V[p].  In R^3
+    the trace is the point cross(H, V) of H instead.  Each trace is divided
+    by its gcd, nonzero because no row is a multiple of u, and its first
+    nonzero entry made positive, so equal traces are equal tuples.  The
+    arithmetic is written out because both walks make nearly all their
+    traces here: counting and finding m for the 388 RP^d arrangements of
+    the acceptance battery took 0.37-0.42 s this way and 0.50-0.61 s with
+    `primitive_normalize` on the same products (fastest of three, three
+    alternating rounds, 2-CPU Linux host).
+    """
+    out = []
+    if len(u) == 3:
+        u0, u1, u2 = u
+        for v0, v1, v2 in rows:
+            x = u1 * v2 - u2 * v1
+            y = u2 * v0 - u0 * v2
+            z = u0 * v1 - u1 * v0
+            g = gcd(x, y, z)
+            if x < 0 or not x and (y < 0 or not y and z < 0):
+                g = -g
+            out.append((x // g, y // g, z // g))
+        return out
+    p = next(c for c, x in enumerate(u) if x)
+    up = u[p]
+    for v in rows:
+        vp = v[p]
+        t = [up * vc - uc * vp for uc, vc in zip(u, v)]
+        del t[p]
+        g = gcd(*t)
+        for x in t:
+            if x:
+                if x < 0:
+                    g = -g
+                break
+        out.append(tuple([x // g for x in t]))
+    return out
 
-    The trace of V on H = {u . x = 0}, in the basis u[p] e_c - u[c] e_p
-    (c != p, p the pivot of u), is the vector of 2x2 minors
-    u[p] V[c] - u[c] V[p].  In R^3 the traces on H are points of H,
-    cross(H, V) for each earlier plane V, and j distinct points cut H into
-    2j regions.  This leaf makes most of the traces, so its cross product,
-    gcd and sign flip are written out here: a seed-1 rp-zaslavsky benchmark
-    pass on a 2-CPU Linux host took 0.23-0.32 s with it, 0.40 s with no leaf
-    and 0.35-0.38 s with a leaf that calls `primitive_normalize(cross3(u, v))`.
-    The minors above R^3 are normalized inline the same way: sweeping the
-    104 count inputs of seed-1 rp-zaslavsky took 0.037-0.041 s this way and
-    0.044-0.052 s with dot products against the basis vectors and
-    `primitive_normalize` (fastest of 15, three alternating runs, same
-    host).  The R^2 case is reached only from RP^1 inputs.
+
+def _sweep(rows: Sequence[Vec], ambient: int) -> int:
+    """Central regions of distinct hyperplanes in R^ambient.
+
+    Adding a hyperplane H adds the central regions that the distinct traces
+    of the earlier hyperplanes cut H into.  In R^2, j lines cut 2j regions,
+    and in R^3 the traces are points of H, j of which cut it into 2j.  The
+    R^2 case is reached only from RP^1 inputs.
     """
     if ambient == 2:
-        return 2 * len(rows) or 1, max(rows.values(), default=0)
-    regions, m = 1, 0
-    items = list(rows.items())
-    if ambient == 3:
-        for i, ((u0, u1, u2), weight) in enumerate(items):
-            points: dict[Vec, int] = {}
-            for (v0, v1, v2), w in items[:i]:
-                x = u1 * v2 - u2 * v1
-                y = u2 * v0 - u0 * v2
-                z = u0 * v1 - u1 * v0
-                g = gcd(x, y, z)  # nonzero: two distinct planes meet in a line
-                if x < 0 or not x and (y < 0 or not y and z < 0):
-                    g = -g
-                point = (x // g, y // g, z // g)
-                points[point] = points.get(point, 0) + w
-            regions += 2 * len(points) or 1
-            m = max(m, weight + max(points.values(), default=0))
-        return regions, m
-    for i, (u, weight) in enumerate(items):
-        p = next(c for c, x in enumerate(u) if x)
-        up = u[p]
-        traces: dict[Vec, int] = {}
-        for v, w in items[:i]:
-            vp = v[p]
-            t = [up * vc - uc * vp for uc, vc in zip(u, v)]
-            del t[p]
-            g = gcd(*t)  # nonzero: v is not a multiple of u
-            for x in t:
-                if x:
-                    if x < 0:
-                        g = -g
-                    break
-            t = tuple([x // g for x in t])
-            traces[t] = traces.get(t, 0) + w
-        cut, through = _sweep(traces, ambient - 1)
-        regions += cut
-        m = max(m, weight + through)
-    return regions, m
+        return 2 * len(rows) or 1
+    regions = 1
+    for i, u in enumerate(rows):
+        if ambient == 3:
+            regions += 2 * len(set(_traces(u, rows[:i]))) or 1
+        else:  # dict, not set: keep the traces in the order they were made
+            regions += _sweep(list(dict.fromkeys(_traces(u, rows[:i]))), ambient - 1)
+    return regions
+
+
+def _heaviest(rows: Sequence[Vec], weights: Sequence[int], ambient: int,
+              beat: int) -> int:
+    """The most weight on one line through 0 in R^ambient, if above `beat`.
+
+    `rows` are distinct hyperplanes and `weights` theirs.  The result is
+    exact when that most weight is above `beat`, and at most `beat`
+    otherwise.  A line lies in a last hyperplane rows[i], and each earlier
+    row through the line leaves a trace on rows[i] through it, so the most
+    weight is the max over i of weights[i] plus the most weight of the
+    traces on rows[i], equal traces adding their weights.  No line of
+    rows[i] carries more than the weight of rows[:i + 1], so the walk goes
+    from the last row to the first, stops once that prefix weight cannot
+    beat the best found, and asks each restriction only to beat the best
+    less weights[i].  In R^2 the lines are the rows themselves; that case is
+    reached only from RP^1 inputs.
+    """
+    if ambient == 2:
+        return max(weights, default=0)
+    best = max(beat, 0)  # no rows leave every line weight 0
+    prefix = sum(weights)
+    for i in range(len(rows) - 1, -1, -1):
+        if prefix <= best:
+            break
+        w = weights[i]
+        prefix -= w
+        merged: dict[Vec, int] = {}
+        for t, wt in zip(_traces(rows[i], rows[:i]), weights):
+            merged[t] = merged.get(t, 0) + wt
+        if ambient == 3:  # the traces are points of rows[i], each its own line
+            through = max(merged.values(), default=0)
+        else:
+            through = _heaviest(list(merged), list(merged.values()), ambient - 1, best - w)
+        if w + through > best:
+            best = w + through
+    return best
 
 
 # ---------------------------------------------------------------------------

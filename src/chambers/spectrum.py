@@ -329,8 +329,9 @@ def verify_bounds_batch(items) -> list[BoundViolation]:
 
     Projective arrangements are checked against the homological bound for
     RP^d and the three multiplicity bounds, whose m comes from
-    `max_point_multiplicity` (no intersection poset is built); toric ones
-    against the homological bound for T^d and spectrum membership.
+    `max_point_multiplicity`, a branch and bound that counts no regions and
+    builds no intersection poset; toric ones against the homological bound
+    for T^d and spectrum membership.
     Violations are returned as data, never raised.
     """
     violations = []

@@ -181,6 +181,29 @@ class TestSpectrum:
         code, _ = run(capsys, "spectrum", "-n", "11", "-d", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--martinov", "-n", "9", "-d", "5"],
+         "-d 5 does not apply: --martinov lists counts in RP^2"),
+        (["--low-range-3d", "-n", "50", "-d", "4"],
+         "-d 4 does not apply: --low-range-3d lists counts in RP^3"),
+        (["--first-four", "-n", "11", "-d", "3", "--cap", "40"],
+         "--cap applies to --toric only"),
+        (["--martinov", "-n", "9", "--cap", "40"], "--cap applies to --toric only"),
+    ])
+    def test_flag_the_mode_does_not_read_is_usage_error(self, capsys, argv, message):
+        code = main(["spectrum", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--martinov", "-n", "9"], [16, 21, 22, 24]),
+        (["--martinov", "-n", "9", "-d", "2"], [16, 21, 22, 24]),
+        (["--first-four", "-n", "11"], [36, 48, 50, 56]),
+    ])
+    def test_mode_dimension_may_be_given_or_left_out(self, capsys, argv, want):
+        code, out = run(capsys, "spectrum", *argv)
+        assert (code, json.loads(out)) == (0, want)
+
 
 class TestGen:
     def test_double_pencil_expect(self, capsys, tmp_path):
@@ -221,6 +244,28 @@ class TestGen:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: family {argv[0]!r} needs {flag}\n"
+
+    @pytest.mark.parametrize("argv,flags", [
+        (["near-pencil", "-n", "5", "-d", "7", "-k", "3"], "-d and -k"),
+        (["general-position", "-n", "5", "-d", "2", "--no-common"], "--no-common"),
+        (["double-pencil", "-a", "3", "-b", "4", "--common", "--extras", "2"], "--extras"),
+        (["two-extra", "-n", "9", "--line-in-union", "--offsets", "1/2"], "--offsets"),
+        (["toric-b", "-n", "4", "-d", "2", "-k", "3", "--coincidences", "0"],
+         "--coincidences"),
+    ])
+    def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv, flags):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: family {argv[0]!r} does not read {flags}\n"
+
+    def test_two_extra_over_a_base_does_not_read_n(self, capsys, tmp_path):
+        path = tmp_path / "base.json"
+        dump_arrangement(double_pencil(3, 4, True), str(path))
+        assert main(["gen", "two-extra", "--base", str(path), "--coincidences", "1"]) == 0
+        capsys.readouterr()
+        assert main(["gen", "two-extra", "--base", str(path), "-n", "9"]) == 2
+        assert capsys.readouterr().err == "error: family 'two-extra' does not read -n\n"
 
     @pytest.mark.parametrize("family", ["cone", "two-extra"])
     def test_toric_base_is_usage_error(self, capsys, toric_file, family):

@@ -252,8 +252,11 @@ class TestThreeExtraPlanes:
             raise AssertionError("a region count ran inside a generator")
 
         monkeypatch.setattr(pj, "_sweep", refuse)
+        monkeypatch.setattr(pj, "_heaviest", refuse)
         with pytest.raises(AssertionError):
             count_regions_projective(gn.near_pencil(5))
+        with pytest.raises(AssertionError):
+            max_point_multiplicity(gn.near_pencil(5))
         built = 0
         for recipe in sp.projective_recipes(10, 3):
             if recipe.family != "three_extra":

@@ -261,9 +261,10 @@ class TestSweepAgainstReferences:
         rows = {(-1, 1, 0): 2, (0, -1, 1): 3, (-2, 1, 1): 1, (-1, 0, 1): 5,
                 (0, 1, 0): 4, (0, -1, -1): 7}
         central = 2 * count_regions_oracle(ProjArrangement(2, tuple(rows)))
-        assert pj._sweep(rows, 3) == (central, 14)
+        assert pj._sweep(list(rows), 3) == central
+        assert pj._heaviest(list(rows), list(rows.values()), 3, 0) == 14
         del rows[(0, -1, -1)]
-        assert pj._sweep(rows, 3)[1] == 11
+        assert pj._heaviest(list(rows), list(rows.values()), 3, 0) == 11
 
 
 class TestHyperplaneBasis:
@@ -288,23 +289,25 @@ class TestHyperplaneBasis:
                  for c in range(ambient) if c != p]
         assert all(sum(a * b for a, b in zip(u, x)) == 0 for x in basis)
         assert naive_rank(basis) == ambient - 1
+        explicit = [primitive_normalize([sum(a * b for a, b in zip(v, x)) for x in basis])
+                    for v in rows]
+        assert pj._traces(u, list(rows)) == explicit
         want = {}
-        for v, w in rows.items():
-            t = primitive_normalize([sum(a * b for a, b in zip(v, x)) for x in basis])
+        for t, w in zip(explicit, rows.values()):
             want[t] = want.get(t, 0) + w
 
         seen = []
-        sweep = pj._sweep
+        heaviest = pj._heaviest
 
-        def record(traces, amb):
-            seen.append((amb, traces))
-            return sweep(traces, amb)
+        def record(traces, weights, amb, beat):
+            seen.append((amb, dict(zip(traces, weights))))
+            return heaviest(traces, weights, amb, beat)
 
         rows[u] = 1
-        with patch.object(pj, "_sweep", record):
-            sweep(rows, ambient)
-        # the last restriction to R^(ambient-1) is onto H, the last row
-        assert [t for amb, t in seen if amb == ambient - 1][-1] == want
+        with patch.object(pj, "_heaviest", record):
+            heaviest(list(rows), list(rows.values()), ambient, 0)
+        # the m walk restricts first onto H, the last row
+        assert seen[0] == (ambient - 1, want)
 
     def test_equal_minor_traces_merge_their_weights(self):
         # (1, 0, 0, 0) and (1, 0, 0, 1) leave the trace (1, 0, 0) on the last
@@ -313,7 +316,8 @@ class TestHyperplaneBasis:
         rows = {(1, 0, 0, 0): 2, (1, 0, 0, 1): 3, (0, 1, 0, 0): 4, (0, 0, 1, 0): 1,
                 (0, 0, 0, -1): 1}
         central = 2 * count_regions_oracle(ProjArrangement(3, tuple(rows)))
-        assert pj._sweep(rows, 4) == (central, 10)
+        assert pj._sweep(list(rows), 4) == central
+        assert pj._heaviest(list(rows), list(rows.values()), 4, 0) == 10
 
     def test_sweep_needs_no_general_solver(self):
         gp = gn.general_position(12, 3)
@@ -322,6 +326,49 @@ class TestHyperplaneBasis:
         assert count_regions_projective(gp) == gn.general_position_count(12, 3)
         assert max_point_multiplicity(gp) == 3
         assert (count_regions_projective(arr), max_point_multiplicity(arr)) == expected
+
+
+@st.composite
+def weighted_rows(draw):
+    """Distinct weighted hyperplanes in R^3..R^5, entries in [-3, 3], and a bar to beat."""
+    ambient = draw(st.integers(3, 5))
+    row = st.tuples(*[st.integers(-3, 3)] * ambient).filter(any)
+    rows = draw(st.lists(row, max_size=6, unique_by=primitive_normalize))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    return rows, weights, ambient, draw(st.integers(0, sum(weights) + 1))
+
+
+class TestHeaviestLine:
+    @given(weighted_rows())
+    @settings(deadline=None, max_examples=200)
+    def test_against_every_row_subset(self, drawn):
+        # the rows through a line span at most ambient - 1 dimensions, and any
+        # rows that do have a common line, so m is the heaviest such subset
+        rows, weights, ambient, beat = drawn
+        m = max(sum(weights[i] for i in subset)
+                for k in range(len(rows) + 1)
+                for subset in itertools.combinations(range(len(rows)), k)
+                if naive_rank([rows[i] for i in subset]) < ambient)
+        got = pj._heaviest(rows, weights, ambient, beat)
+        if m > beat:
+            assert got == m
+        else:
+            assert got <= beat
+
+    def test_stops_once_no_hyperplane_can_beat_the_heaviest_line(self):
+        # the apex lies on the 49 lifted planes: the extra plane and the last
+        # lifted plane are restricted to, and then no prefix can beat 49
+        arr = gn.cone(gn.double_pencil(3, 47, True))
+        top = []
+        traces = pj._traces
+
+        def record(u, rows):
+            top.append(len(u) == arr.d + 1)
+            return traces(u, rows)
+
+        with patch.object(pj, "_traces", record):
+            assert max_point_multiplicity(arr) == 49
+        assert sum(top) <= 2
 
 
 class TestJson:
