@@ -11,9 +11,13 @@ time: chi(t) = t^d - sum_i chi_i(t), where chi_i belongs to the traces that
 H_1..H_(i-1) leave on H_i.  A unimodular change of coordinates maps each
 H_i onto T^(d-1), where every earlier subtorus leaves g parallel subtori
 (g = 0 when it is parallel to H_i) and equal traces merge; on T^1, n points
-give t - n.  The count is |lowest nonzero coefficient of chi|.  The sweep
-builds no cell, lifts nothing and solves no LP; `SWEEP_GUARD` caps its
-work.
+give t - n.  The count is |lowest nonzero coefficient of chi|.  Inside the
+sweep a subtorus is the integer key (p, num, den): p is its primitive
+normal with a positive leading entry and num/den its offset, reduced, with
+0 <= num < den.  The sweep thus does integer arithmetic only; `Subtorus`
+and `Fraction` remain for parsing, JSON, the cube engine and the grid.  The
+sweep builds no cell, lifts nothing and solves no LP; `SWEEP_GUARD` caps
+its work.
 
 `torus_decomposition`, the cube engine, is the exact cross-check.  It
 works in the closed fundamental cube [0,1]^d:
@@ -54,6 +58,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
@@ -63,7 +68,14 @@ from .feasibility import TooLargeError, walk_sign_vectors
 LIFT_GUARD = 24
 DIMENSION_GUARD = 4
 GRID_NODE_GUARD = 2 * 10 ** 7
-SWEEP_GUARD = 60_000  # pairs examined plus traces made: about a second of sweep
+# Pairs examined plus traces made.  On a shared 2-CPU Linux machine (Python
+# 3.11) the 60 circles {(1, k) . x = 0} of T^2, 37,760 units, count in about
+# 0.02 s (0.15-0.17 s for `chambers count`, most of it start-up), and 200
+# such circles are refused after about 0.03 s (0.14-0.19 s to exit 2).
+SWEEP_GUARD = 60_000
+
+# A subtorus inside the sweep: (primitive normal, offset numerator, offset denominator).
+Key = tuple[Vec, int, int]
 
 
 class UnstableError(RuntimeError):
@@ -99,14 +111,18 @@ class Subtorus:
                 "c": format_rational(self.offset)}
 
 
+def _check_dimension(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"torus dimension must be >= 1, got d = {d}")
+
+
 @dataclass(frozen=True)
 class ToricArrangement:
     d: int
     subtori: tuple[Subtorus, ...]
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("torus dimension must be >= 1")
+        _check_dimension(self.d)
         if not self.subtori:
             raise ValueError("need at least one subtorus")
         for s in self.subtori:
@@ -121,6 +137,7 @@ class ToricArrangement:
 
     @staticmethod
     def make(d: int, subtori: Iterable[tuple[Sequence[int], int | Fraction]]) -> "ToricArrangement":
+        _check_dimension(d)  # before the normals, which are empty when d = 0
         return ToricArrangement(d, tuple(Subtorus.make(a, c) for a, c in subtori))
 
     def to_json(self) -> dict:
@@ -158,13 +175,16 @@ def count_regions_toric(arr: ToricArrangement) -> int:
 
     The count is |lowest nonzero coefficient| of the characteristic
     polynomial: |chi(0)| when the normals span R^d, and otherwise chi is
-    t^(d - r) times the chi of the essential arrangement in T^r.
+    t^(d - r) times the chi of the essential arrangement in T^r.  Each
+    subtorus enters the sweep as its integer key (normal, numerator,
+    denominator); no `Subtorus` or `Fraction` is made below this call.
     """
-    chi = _sweep(arr.subtori, arr.d, [SWEEP_GUARD])
+    keys = [(s.normal, s.offset.numerator, s.offset.denominator) for s in arr.subtori]
+    chi = _sweep(keys, arr.d, [SWEEP_GUARD])
     return abs(next(c for c in chi if c))
 
 
-def _sweep(subtori: Sequence[Subtorus], d: int, budget: list[int]) -> list[int]:
+def _sweep(subtori: Sequence[Key], d: int, budget: list[int]) -> list[int]:
     """chi(t) of distinct subtori of T^d, as coefficients indexed by power.
 
     Adding a subtorus H subtracts the chi of the traces that the earlier
@@ -180,29 +200,47 @@ def _sweep(subtori: Sequence[Subtorus], d: int, budget: list[int]) -> list[int]:
     return chi
 
 
-def _traces(h: Subtorus, earlier: Sequence[Subtorus], budget: list[int]) -> tuple[Subtorus, ...]:
+def _traces(h: Key, earlier: Sequence[Key], budget: list[int]) -> list[Key]:
     """The distinct subtori that `earlier` cut on H, in H's coordinates y.
 
-    With V from `_unimodular_basis`, y -> c V[0] + sum_k y_k V[k] maps
-    T^(d-1) onto H = {a . x = c}.  There K = {b . x = e} reads
-    g p . y = e - c b . V[0] with bV[1:] = g p, p primitive: g parallel
-    subtori if g > 0, none if bV[1:] = 0 (K is parallel to H).
+    A key (p, num, den) is the subtorus {p . x = num/den (mod 1)} in the
+    canonical form of `Subtorus`: p primitive with a positive leading
+    entry, gcd(num, den) = 1 and 0 <= num < den.  With V from
+    `_unimodular_basis`, y -> c V[0] + sum_k y_k V[k] maps T^(d-1) onto
+    H = {a . x = c}.  There K = {b . x = e} reads g p . y = r with
+    bV[1:] = g p, p primitive and r = e - c b . V[0], computed over the
+    denominator den_K den_H: g parallel subtori p . y = (r + j)/g if g > 0,
+    none if bV[1:] = 0 (K is parallel to H).  Each offset is reduced by one
+    gcd and taken mod 1; where p leads with a negative entry, p and the
+    offset are negated.  Equal traces merge, first occurrence first.
     `budget[0]` is what the sweep may still spend; the pairs examined and
     the traces to be made are charged before any trace is made.
     """
-    basis = _unimodular_basis(h.normal)
+    if not earlier:
+        return []
+    a, hn, hd = h
+    v0, *basis = _unimodular_basis(a)
     forms = []
-    for k in earlier:
-        w = [dot(k.normal, v) for v in basis[1:]]
+    for b, kn, kd in earlier:  # sum(map(mul, ..)) is `dot` without its length check
+        w = [sum(map(mul, b, v)) for v in basis]
         g = gcd(*w)
-        if g:
-            r = k.offset - h.offset * dot(k.normal, basis[0])
-            forms.append((tuple(x // g for x in w), g, r))
-    budget[0] -= len(earlier) + sum(g for _, g, _ in forms)
+        if g:  # r = e - c b . V[0] as a numerator over den = kd hd
+            forms.append((w, g, kn * hd - hn * kd * sum(map(mul, b, v0)), kd * hd))
+    budget[0] -= len(earlier) + sum(f[1] for f in forms)
     if budget[0] < 0:
         raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} pairs and traces")
-    return tuple(dict.fromkeys(Subtorus.make(p, (r + j) / g)
-                               for p, g, r in forms for j in range(g)))
+    traces = []
+    for w, g, r, den in forms:
+        p = tuple(x // g for x in w)
+        sign = 1
+        if next(x for x in p if x) < 0:
+            p, sign = tuple(-x for x in p), -1
+        whole = den * g
+        for j in range(g):
+            num = sign * (r + j * den) % whole
+            t = gcd(num, whole)
+            traces.append((p, num // t, whole // t))
+    return list(dict.fromkeys(traces))
 
 
 def _unimodular_basis(a: Vec) -> list[Vec]:

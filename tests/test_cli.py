@@ -86,6 +86,16 @@ class TestCount:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("d,a", [(0, []), (-1, [1])])
+    def test_toric_dimension_below_one_is_named(self, capsys, tmp_path, d, a):
+        path = tmp_path / "t0.json"
+        path.write_text(json.dumps({"type": "toric", "d": d, "subtori": [{"a": a, "c": "0"}]}))
+        code = main(["count", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: torus dimension must be >= 1, got d = {d}\n"
+
     def test_oversize_projective_is_usage_error(self, capsys, tmp_path):
         # the 25 coordinate hyperplanes of RP^24 would sweep for minutes
         path = tmp_path / "huge.json"

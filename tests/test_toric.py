@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,11 @@ from chambers.toric import (
 
 def make(d, *subtori):
     return ToricArrangement.make(d, subtori)
+
+
+def key(s):
+    """The sweep's integer key of a subtorus."""
+    return s.normal, s.offset.numerator, s.offset.denominator
 
 
 class TestCanonicalization:
@@ -89,7 +95,8 @@ class TestExactCounter:
     def test_two_transverse_geodesics(self):
         # x2 = 0 and x2 = 4 x1 + 1/2 meet in 4 points: 4 regions
         arr = make(2, ((0, 1), 0), ((-4, 1), Fraction(1, 2)))
-        assert len(tc._traces(arr.subtori[1], arr.subtori[:1], [tc.SWEEP_GUARD])) == 4
+        x2, slope = map(key, arr.subtori)
+        assert len(tc._traces(slope, [x2], [tc.SWEEP_GUARD])) == 4
         assert count_regions_toric(arr) == 4
 
     def test_three_coordinate_subtori_in_t3(self):
@@ -181,13 +188,63 @@ class TestSweep:
         assert count_regions_toric(arr) == 1
 
     def test_guard_refuses_before_making_traces(self, monkeypatch):
-        # the two circles meet in 2 * 10^6 points
+        # the two circles meet in 2 * 10^6 points.  Before the charge the
+        # sweep takes one gcd, of bV[1:] for the one earlier circle; every
+        # trace it makes takes one more, to reduce its offset
         arr = make(2, ((1, 10 ** 6), 0), ((1, -10 ** 6), 0))
-        made = []
-        monkeypatch.setattr(Subtorus, "make", staticmethod(lambda a, c: made.append(a)))
+        calls = []
+
+        def counted_gcd(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise AssertionError("a trace was made before the guard refused")
+            return gcd(*args)
+
+        monkeypatch.setattr(tc, "gcd", counted_gcd)
         with pytest.raises(TooLargeError):
             count_regions_toric(arr)
-        assert made == []
+        assert len(calls) == 1
+
+
+class TestTraceKeys:
+    """The sweep's keys (p, num, den) are canonical, so equal traces merge."""
+
+    def test_reduced_numerators_merge(self):
+        # on x2 = 0, 2 x1 + x2 = 0 leaves y in {0, 1/2} and 4 x1 + x2 = 0
+        # leaves y in {0, 1/4, 2/4, 3/4}: 2/4 must reduce to 1/2 to merge.
+        # 4 vertices and 4 + 2 + 4 edges leave 6 regions
+        arr = make(2, ((2, 1), 0), ((4, 1), 0), ((0, 1), 0))
+        assert tc._traces(key(arr.subtori[2]), [key(s) for s in arr.subtori[:2]],
+                          [tc.SWEEP_GUARD]) == [((1,), 0, 1), ((1,), 1, 2),
+                                                ((1,), 1, 4), ((1,), 3, 4)]
+        assert count_regions_toric(arr) == torus_decomposition(arr).f == 6
+
+    @pytest.mark.parametrize("den", [3, 1000000007])
+    def test_flipped_normal_negates_the_offset(self, den):
+        # on x1 = 0, x1 - x2 = 1/den reads -y = 1/den, that is y = 1 - 1/den,
+        # where x2 = 1 - 1/den also crosses.  The three circles meet in one
+        # point and have 3 edges, so 2 regions
+        arr = make(2, ((1, -1), Fraction(1, den)), ((0, 1), Fraction(den - 1, den)),
+                   ((1, 0), 0))
+        slope, x2, x1 = map(key, arr.subtori)
+        assert tc._traces(x1, [slope], [tc.SWEEP_GUARD]) == [((1,), den - 1, den)]
+        assert tc._traces(x1, [slope, x2], [tc.SWEEP_GUARD]) == [((1,), den - 1, den)]
+        assert count_regions_toric(arr) == torus_decomposition(arr).f == 2
+
+    @settings(deadline=None, max_examples=75)
+    @given(toric_arrangements())
+    def test_every_trace_is_canonical(self, arr):
+        def walk(keys, d):
+            for i, h in enumerate(keys):
+                traces = tc._traces(h, keys[:i], [tc.SWEEP_GUARD])
+                for p, num, den in traces:
+                    # make refuses a non-primitive p and returns the canonical form
+                    assert key(Subtorus.make(p, Fraction(num, den))) == (p, num, den)
+                assert len(set(traces)) == len(traces)
+                if d > 2:
+                    walk(traces, d - 1)
+
+        walk([key(s) for s in arr.subtori], arr.d)
 
 
 class TestGridCounter:
