@@ -17,8 +17,8 @@ Criteria (all required unless marked stretch):
 
 1. oracle equivalence on a deterministic random stream plus the generator
    catalogue at n <= 12;
-2. the four smallest counts at (d, n) in {(3,11), (3,20), (4,13), (5,15)},
-   realized and exclusive below the fourth value;
+2. the four smallest counts at (d, n) in {(3,11), (3,20), (4,13), (5,15),
+   (8,21), (10,25)}, realized and exclusive below the fourth value;
 3. the 36-value low spectrum at n = 50 in RP^3: required values realized,
    nothing unexpected below 12n-60, full list as stretch;
 4. toric construction counts against their closed forms, cross-checked by
@@ -116,7 +116,7 @@ def _oracle_equivalence(registry, seed):
 
 def _first_four(registry, seed):
     problems = []
-    for d, n in ((3, 11), (3, 20), (4, 13), (5, 15)):
+    for d, n in ((3, 11), (3, 20), (4, 13), (5, 15), (8, 21), (10, 25)):
         values = bd.first_four_counts(n, d)
         report = sp.search_projective(n, d)
         for f, recipe in report.found.items():
@@ -126,7 +126,7 @@ def _first_four(registry, seed):
                 problems.append(f"({d},{n}): {v} not realized")
         if report.unexpected:
             problems.append(f"({d},{n}): unexpected {report.unexpected}")
-    return problems, "four smallest counts realized and exclusive at all four (d, n)"
+    return problems, "four smallest counts realized and exclusive at all six (d, n)"
 
 
 TIER_A_EXTRA_FORMS = ((7, -20), (8, -32), (9, -36), (9, -33), (12, -60))

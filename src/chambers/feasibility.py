@@ -64,6 +64,14 @@ class TooLargeError(ValueError):
     """An exact engine's size guard refuses the instance."""
 
 
+# Both deletion-restriction sweeps charge each restriction's integer entries
+# here before computing them.  On a shared 2-CPU Linux machine (Python 3.11)
+# the RP^d sweep made 1.7 (GP(25, 10)) to 2.6 M entries/s and the T^d sweep
+# 2.5 to 6.5 M/s, so this is at most about 0.5 s of work; the costliest
+# first-four witness, at (d, n) = (10, 25), charges 485,373 entries.
+SWEEP_GUARD = 800_000
+
+
 class PhaseOneBasis:
     """A primal feasible basis of the Gordan phase-one program in dim variables.
 

@@ -15,8 +15,9 @@ heaviest found.  Both restrict to a hyperplane u with no elimination: in
 the basis u[p] e_c - u[c] e_p of {u . x = 0} (c != p, u[p] the first
 nonzero entry of u) the trace of v is its vector of 2x2 minors
 u[p] v[c] - u[c] v[p], and in R^3 it is the point cross(u, v); `_traces`
-alone makes them.  `SWEEP_GUARD` caps both walks, whose work grows at
-most as n * sum_{k<d} C(n, k).
+alone makes them, charging their len(rows) * len(u) entries to
+`feasibility.SWEEP_GUARD` first, as the toric sweep does: a walk is refused
+by the work it does, not by the general-position worst case.
 
 The intersection poset is the independent reference the tests compare the
 sweep with, through its characteristic polynomial and Zaslavsky's theorem.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import gcd
 from typing import Sequence
 
 from .exactlin import (
@@ -48,12 +49,7 @@ from .exactlin import (
     primitive_normalize,
     primitive_scale,
 )
-from .feasibility import TooLargeError
-
-# n * sum_{k<d} C(n, k) tracks the sweep's time at 2-3 M units/s for general
-# position inputs with d = 2..8 and for coordinate hyperplanes (2-CPU Linux
-# host), so this is about one second of work
-SWEEP_GUARD = 2_500_000
+from .feasibility import SWEEP_GUARD, TooLargeError
 
 
 class ValidationError(ValueError):
@@ -157,10 +153,6 @@ class IntersectionPoset:
     arrangement: ProjArrangement
     flats: tuple[Flat, ...]  # ordered by decreasing subspace_dim; bottom first
 
-    @property
-    def bottom(self) -> Flat:
-        return self.flats[0]
-
     def level_sizes(self) -> dict[int, int]:
         sizes: dict[int, int] = {}
         for f in self.flats:
@@ -263,8 +255,8 @@ def evaluate_poly(coeffs: Sequence[int], t: int) -> int:
 
 def count_regions_projective(arr: ProjArrangement) -> int:
     """Number of open d-cells of RP^d cut out by the arrangement."""
-    _check_sweep(arr)
-    return _sweep(arr.covectors, arr.d + 1) // 2
+    ensure_valid(arr)
+    return _sweep(arr.covectors, arr.d + 1, [SWEEP_GUARD]) // 2
 
 
 def max_point_multiplicity(arr: ProjArrangement) -> int:
@@ -273,19 +265,11 @@ def max_point_multiplicity(arr: ProjArrangement) -> int:
     A point of RP^d is a line through 0 in R^(d+1), so m is `_heaviest`
     of the covectors, each of weight one, with nothing to beat.
     """
-    _check_sweep(arr)
-    return _heaviest(arr.covectors, (1,) * arr.n, arr.d + 1, 0)
-
-
-def _check_sweep(arr: ProjArrangement) -> None:
-    """Refuse an invalid arrangement and one above `SWEEP_GUARD`."""
     ensure_valid(arr)
-    if arr.n * sum(comb(arr.n, k) for k in range(arr.d)) > SWEEP_GUARD:
-        raise TooLargeError(
-            f"n = {arr.n} in RP^{arr.d} exceeds the sweep guard of {SWEEP_GUARD} units")
+    return _heaviest(arr.covectors, (1,) * arr.n, arr.d + 1, 0, [SWEEP_GUARD])
 
 
-def _traces(u: Vec, rows: Sequence[Vec]) -> list[Vec]:
+def _traces(u: Vec, rows: Sequence[Vec], budget: list[int]) -> list[Vec]:
     """The primitive trace of each of `rows` on H = {u . x = 0}, in order.
 
     In the basis u[p] e_c - u[c] e_p of H (c != p, p the pivot of u) the
@@ -297,8 +281,13 @@ def _traces(u: Vec, rows: Sequence[Vec]) -> list[Vec]:
     traces here: counting and finding m for the 388 RP^d arrangements of
     the acceptance battery took 0.37-0.42 s this way and 0.50-0.61 s with
     `primitive_normalize` on the same products (fastest of three, three
-    alternating rounds, 2-CPU Linux host).
+    alternating rounds, 2-CPU Linux host).  `budget[0]` is what the walk
+    may still spend; the len(rows) * len(u) entries of the minors are
+    charged before any is computed.
     """
+    budget[0] -= len(rows) * len(u)
+    if budget[0] < 0:
+        raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
     out = []
     if len(u) == 3:
         u0, u1, u2 = u
@@ -327,7 +316,7 @@ def _traces(u: Vec, rows: Sequence[Vec]) -> list[Vec]:
     return out
 
 
-def _sweep(rows: Sequence[Vec], ambient: int) -> int:
+def _sweep(rows: Sequence[Vec], ambient: int, budget: list[int]) -> int:
     """Central regions of distinct hyperplanes in R^ambient.
 
     Adding a hyperplane H adds the central regions that the distinct traces
@@ -340,14 +329,15 @@ def _sweep(rows: Sequence[Vec], ambient: int) -> int:
     regions = 1
     for i, u in enumerate(rows):
         if ambient == 3:
-            regions += 2 * len(set(_traces(u, rows[:i]))) or 1
+            regions += 2 * len(set(_traces(u, rows[:i], budget))) or 1
         else:  # dict, not set: keep the traces in the order they were made
-            regions += _sweep(list(dict.fromkeys(_traces(u, rows[:i]))), ambient - 1)
+            traces = list(dict.fromkeys(_traces(u, rows[:i], budget)))
+            regions += _sweep(traces, ambient - 1, budget)
     return regions
 
 
 def _heaviest(rows: Sequence[Vec], weights: Sequence[int], ambient: int,
-              beat: int) -> int:
+              beat: int, budget: list[int]) -> int:
     """The most weight on one line through 0 in R^ambient, if above `beat`.
 
     `rows` are distinct hyperplanes and `weights` theirs.  The result is
@@ -372,12 +362,13 @@ def _heaviest(rows: Sequence[Vec], weights: Sequence[int], ambient: int,
         w = weights[i]
         prefix -= w
         merged: dict[Vec, int] = {}
-        for t, wt in zip(_traces(rows[i], rows[:i]), weights):
+        for t, wt in zip(_traces(rows[i], rows[:i], budget), weights):
             merged[t] = merged.get(t, 0) + wt
         if ambient == 3:  # the traces are points of rows[i], each its own line
             through = max(merged.values(), default=0)
         else:
-            through = _heaviest(list(merged), list(merged.values()), ambient - 1, best - w)
+            through = _heaviest(list(merged), list(merged.values()), ambient - 1, best - w,
+                                budget)
         if w + through > best:
             best = w + through
     return best

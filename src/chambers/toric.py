@@ -16,8 +16,8 @@ sweep a subtorus is the integer key (p, num, den): p is its primitive
 normal with a positive leading entry and num/den its offset, reduced, with
 0 <= num < den.  The sweep thus does integer arithmetic only; `Subtorus`
 and `Fraction` remain for parsing, JSON, the cube engine and the grid.  The
-sweep builds no cell, lifts nothing and solves no LP; `SWEEP_GUARD` caps
-its work.
+sweep builds no cell, lifts nothing and solves no LP; like the RP^d sweep,
+it charges the entries it computes to `feasibility.SWEEP_GUARD` first.
 
 `torus_decomposition`, the cube engine, is the exact cross-check.  It
 works in the closed fundamental cube [0,1]^d:
@@ -63,16 +63,11 @@ from typing import Iterable, Sequence
 
 from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
                        parse_rational, primitive_scale)
-from .feasibility import TooLargeError, walk_sign_vectors
+from .feasibility import SWEEP_GUARD, TooLargeError, walk_sign_vectors
 
 LIFT_GUARD = 24
 DIMENSION_GUARD = 4
 GRID_NODE_GUARD = 2 * 10 ** 7
-# Pairs examined plus traces made.  On a shared 2-CPU Linux machine (Python
-# 3.11) the 60 circles {(1, k) . x = 0} of T^2, 37,760 units, count in about
-# 0.02 s (0.15-0.17 s for `chambers count`, most of it start-up), and 200
-# such circles are refused after about 0.03 s (0.14-0.19 s to exit 2).
-SWEEP_GUARD = 60_000
 
 # A subtorus inside the sweep: (primitive normal, offset numerator, offset denominator).
 Key = tuple[Vec, int, int]
@@ -213,12 +208,16 @@ def _traces(h: Key, earlier: Sequence[Key], budget: list[int]) -> list[Key]:
     none if bV[1:] = 0 (K is parallel to H).  Each offset is reduced by one
     gcd and taken mod 1; where p leads with a negative entry, p and the
     offset are negated.  Equal traces merge, first occurrence first.
-    `budget[0]` is what the sweep may still spend; the pairs examined and
-    the traces to be made are charged before any trace is made.
+    `budget[0]` is what the sweep may still spend.  The (len(earlier) + 1)
+    d^2 entries of V and the forms are charged before V is built, and the
+    (d - 1) sum g entries of the traces before any trace is made.
     """
     if not earlier:
         return []
     a, hn, hd = h
+    budget[0] -= (len(earlier) + 1) * len(a) ** 2
+    if budget[0] < 0:
+        raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
     v0, *basis = _unimodular_basis(a)
     forms = []
     for b, kn, kd in earlier:  # sum(map(mul, ..)) is `dot` without its length check
@@ -226,9 +225,9 @@ def _traces(h: Key, earlier: Sequence[Key], budget: list[int]) -> list[Key]:
         g = gcd(*w)
         if g:  # r = e - c b . V[0] as a numerator over den = kd hd
             forms.append((w, g, kn * hd - hn * kd * sum(map(mul, b, v0)), kd * hd))
-    budget[0] -= len(earlier) + sum(f[1] for f in forms)
+    budget[0] -= sum(f[1] for f in forms) * (len(a) - 1)
     if budget[0] < 0:
-        raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} pairs and traces")
+        raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
     traces = []
     for w, g, r, den in forms:
         p = tuple(x // g for x in w)

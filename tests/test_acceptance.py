@@ -102,7 +102,7 @@ def test_exit_code_contract(battery):
 
 # sha256 of the full battery's printed lines, joined by newlines, each
 # without its trailing "(x.xs)" timing.
-BATTERY_LINES = "5d7ccd83271f3ef956158f1c4aee5d62dacdcdc9c19694f8dc0356e791b04dde"
+BATTERY_LINES = "f6ef0f51cfa13d736757df8ca41cf10b4c67b309d7e590bcd8d3a5530a1ff7a1"
 
 
 def test_printed_lines_are_pinned(printed):

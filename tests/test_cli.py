@@ -76,15 +76,28 @@ class TestCount:
         assert code == 2
         assert captured.err.startswith("error: ")
 
-    def test_oversize_toric_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "huge.json"
-        dump_toric(ToricArrangement.make(2, [((1, 10 ** 6), 0), ((1, -10 ** 6), 0)]),
-                   str(path))
+    @staticmethod
+    def refused_quickly(capsys, path):
+        start = time.perf_counter()
         code = main(["count", str(path)])
+        assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_oversize_toric_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        dump_toric(ToricArrangement.make(2, [((1, 10 ** 6), 0), ((1, -10 ** 6), 0)]),
+                   str(path))
+        self.refused_quickly(capsys, path)
+
+    def test_high_dimensional_toric_is_usage_error(self, capsys, tmp_path):
+        # each restriction would build a 2000 x 2000 unimodular basis
+        path = tmp_path / "t2000.json"
+        dump_toric(ToricArrangement.make(2000, [(tuple(int(i == j) for i in range(2000)), 0)
+                                                for j in range(3)]), str(path))
+        self.refused_quickly(capsys, path)
 
     @pytest.mark.parametrize("d,a", [(0, []), (-1, [1])])
     def test_toric_dimension_below_one_is_named(self, capsys, tmp_path, d, a):
@@ -96,18 +109,15 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == f"error: torus dimension must be >= 1, got d = {d}\n"
 
-    def test_oversize_projective_is_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("arr", [
         # the 25 coordinate hyperplanes of RP^24 would sweep for minutes
+        ProjArrangement(24, tuple(tuple(int(i == j) for j in range(25)) for i in range(25))),
+        general_position(25, 10),
+    ], ids=["rp24-coordinates", "gp-25-10"])
+    def test_oversize_projective_is_usage_error(self, capsys, tmp_path, arr):
         path = tmp_path / "huge.json"
-        coords = tuple(tuple(int(i == j) for j in range(25)) for i in range(25))
-        dump_arrangement(ProjArrangement(24, coords), str(path))
-        start = time.perf_counter()
-        code = main(["count", str(path)])
-        assert time.perf_counter() - start < 1
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        dump_arrangement(arr, str(path))
+        self.refused_quickly(capsys, path)
 
     @pytest.mark.parametrize("argv", [["--refinement", "2"], ["--engine", "grid"]])
     def test_grid_options_are_gone(self, capsys, toric_file, argv):
@@ -364,6 +374,13 @@ class TestSearch:
         assert lines[0] == "f,witness,predicted_member"
         assert [line.split(",")[0] for line in lines[1:]] == ["18", "24", "25", "28"]
         assert all(line.endswith(",True") for line in lines[1:])
+
+    def test_first_four_in_rp8(self, capsys):
+        code, out = run(capsys, "search", "-n", "21", "-d", "8")
+        assert code == 0
+        report = json.loads(out)
+        assert sorted(map(int, report["found"])) == [1792, 2496, 2560, 2912]
+        assert report["missing_predicted"] == report["unexpected"] == []
 
     def test_plane_below_martinov_range_is_usage_error(self, capsys):
         code = main(["search", "--space", "projective", "-n", "6", "-d", "2"])

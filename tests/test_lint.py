@@ -76,16 +76,38 @@ def referenced_names(source: str) -> set[str]:
     return refs
 
 
+def class_member_names(source: str) -> dict[str, int]:
+    """Functions and properties defined in the source's classes, at any
+    depth, each with its line; dunder methods are left out."""
+    names = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            names.update((item.name, item.lineno) for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not item.name.startswith("__"))
+    return names
+
+
 def test_detects_an_unreferenced_name():
-    source = "X = 1\nY: int = 2\n__all__ = []\ndef f():\n    return Y\nclass C:\n    pass\n"
+    source = ("X = 1\nY: int = 2\n__all__ = []\ndef f():\n    return Y\nclass C:\n"
+              "    def __init__(self):\n        self.g()\n    def g(self):\n        pass\n"
+              "    @property\n    def h(self):\n        pass\n")
     assert module_level_names(source) == {"X": 1, "Y": 2, "f": 4, "C": 6}
+    assert class_member_names(source) == {"g": 9, "h": 12}
     refs = referenced_names(source) | referenced_names("from m import C\nimport m\nm.f()\n")
     assert sorted(set(module_level_names(source)) - refs) == ["X"]
+    assert sorted(set(class_member_names(source)) - refs) == ["h"]
+
+
+def unreferenced(defined) -> list[str]:
+    refs = set().union(*(referenced_names(p.read_text()) for p in REFERRERS))
+    return [f"{p.name}:{line}: {name}" for p in SOURCES
+            for name, line in defined(p.read_text()).items() if name not in refs]
 
 
 def test_every_module_level_name_is_referenced():
-    refs = set().union(*(referenced_names(p.read_text()) for p in REFERRERS))
-    unreferenced = [f"{p.name}:{line}: {name}" for p in SOURCES
-                    for name, line in module_level_names(p.read_text()).items()
-                    if name not in refs]
-    assert unreferenced == []
+    assert unreferenced(module_level_names) == []
+
+
+def test_every_class_member_is_referenced():
+    assert unreferenced(class_member_names) == []

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from chambers import generators as gn
 from chambers import projective as pj
 from chambers.exactlin import primitive_normalize
+from chambers.feasibility import SWEEP_GUARD, TooLargeError
 from chambers.oracle import count_regions_oracle
 from chambers.projective import (
     ProjArrangement,
@@ -261,10 +263,10 @@ class TestSweepAgainstReferences:
         rows = {(-1, 1, 0): 2, (0, -1, 1): 3, (-2, 1, 1): 1, (-1, 0, 1): 5,
                 (0, 1, 0): 4, (0, -1, -1): 7}
         central = 2 * count_regions_oracle(ProjArrangement(2, tuple(rows)))
-        assert pj._sweep(list(rows), 3) == central
-        assert pj._heaviest(list(rows), list(rows.values()), 3, 0) == 14
+        assert pj._sweep(list(rows), 3, [SWEEP_GUARD]) == central
+        assert pj._heaviest(list(rows), list(rows.values()), 3, 0, [SWEEP_GUARD]) == 14
         del rows[(0, -1, -1)]
-        assert pj._heaviest(list(rows), list(rows.values()), 3, 0) == 11
+        assert pj._heaviest(list(rows), list(rows.values()), 3, 0, [SWEEP_GUARD]) == 11
 
 
 class TestHyperplaneBasis:
@@ -291,7 +293,7 @@ class TestHyperplaneBasis:
         assert naive_rank(basis) == ambient - 1
         explicit = [primitive_normalize([sum(a * b for a, b in zip(v, x)) for x in basis])
                     for v in rows]
-        assert pj._traces(u, list(rows)) == explicit
+        assert pj._traces(u, list(rows), [SWEEP_GUARD]) == explicit
         want = {}
         for t, w in zip(explicit, rows.values()):
             want[t] = want.get(t, 0) + w
@@ -299,13 +301,13 @@ class TestHyperplaneBasis:
         seen = []
         heaviest = pj._heaviest
 
-        def record(traces, weights, amb, beat):
+        def record(traces, weights, amb, beat, budget):
             seen.append((amb, dict(zip(traces, weights))))
-            return heaviest(traces, weights, amb, beat)
+            return heaviest(traces, weights, amb, beat, budget)
 
         rows[u] = 1
         with patch.object(pj, "_heaviest", record):
-            heaviest(list(rows), list(rows.values()), ambient, 0)
+            heaviest(list(rows), list(rows.values()), ambient, 0, [SWEEP_GUARD])
         # the m walk restricts first onto H, the last row
         assert seen[0] == (ambient - 1, want)
 
@@ -316,8 +318,8 @@ class TestHyperplaneBasis:
         rows = {(1, 0, 0, 0): 2, (1, 0, 0, 1): 3, (0, 1, 0, 0): 4, (0, 0, 1, 0): 1,
                 (0, 0, 0, -1): 1}
         central = 2 * count_regions_oracle(ProjArrangement(3, tuple(rows)))
-        assert pj._sweep(list(rows), 4) == central
-        assert pj._heaviest(list(rows), list(rows.values()), 4, 0) == 10
+        assert pj._sweep(list(rows), 4, [SWEEP_GUARD]) == central
+        assert pj._heaviest(list(rows), list(rows.values()), 4, 0, [SWEEP_GUARD]) == 10
 
     def test_sweep_needs_no_general_solver(self):
         gp = gn.general_position(12, 3)
@@ -349,7 +351,7 @@ class TestHeaviestLine:
                 for k in range(len(rows) + 1)
                 for subset in itertools.combinations(range(len(rows)), k)
                 if naive_rank([rows[i] for i in subset]) < ambient)
-        got = pj._heaviest(rows, weights, ambient, beat)
+        got = pj._heaviest(rows, weights, ambient, beat, [SWEEP_GUARD])
         if m > beat:
             assert got == m
         else:
@@ -362,13 +364,43 @@ class TestHeaviestLine:
         top = []
         traces = pj._traces
 
-        def record(u, rows):
+        def record(u, rows, budget):
             top.append(len(u) == arr.d + 1)
-            return traces(u, rows)
+            return traces(u, rows, budget)
 
         with patch.object(pj, "_traces", record):
             assert max_point_multiplicity(arr) == 49
         assert sum(top) <= 2
+
+
+class TestGuard:
+    @pytest.mark.parametrize("walk", [count_regions_projective, max_point_multiplicity])
+    def test_guard_refuses_before_making_traces(self, monkeypatch, walk):
+        # every trace takes one gcd, so the restriction the guard refuses
+        # must take none, and it is the first whose charge overspends
+        arr = gn.general_position(8, 3)
+        made, charged = [], []
+        traces = pj._traces
+
+        def counted_gcd(*args):
+            made.append(args)
+            return gcd(*args)
+
+        def spied(u, rows, budget):
+            charged.append(len(rows) * len(u))
+            before = len(made)
+            try:
+                return traces(u, rows, budget)
+            except TooLargeError:
+                assert len(made) == before, "a trace was made before the guard refused"
+                raise
+
+        monkeypatch.setattr(pj, "SWEEP_GUARD", 100)
+        monkeypatch.setattr(pj, "gcd", counted_gcd)
+        monkeypatch.setattr(pj, "_traces", spied)
+        with pytest.raises(TooLargeError):
+            walk(arr)
+        assert sum(charged[:-1]) <= 100 < sum(charged)
 
 
 class TestJson:

@@ -172,7 +172,7 @@ class TestSweep:
                    ((1, -2), Fraction(3, 4)), ((1, 2), 0))
         assert count_regions_toric(arr) == torus_decomposition(arr).f == 20
 
-    @pytest.mark.parametrize("n,d,k", [(20, 5, 2), (30, 6, 4), (40, 3, 9)])
+    @pytest.mark.parametrize("n,d,k", [(20, 5, 2), (30, 6, 4), (40, 3, 9), (400, 2, 9)])
     def test_construction_b_past_the_cube_guards(self, n, d, k):
         arr = toric_construction_b(n, d, k)
         with pytest.raises(TooLargeError):
