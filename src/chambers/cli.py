@@ -26,7 +26,7 @@ from . import acceptance
 from . import bounds as bd
 from . import generators as gn
 from . import spectrum as sp
-from .exactlin import format_rational, json_field, parse_rational
+from .exactlin import format_rational, json_field, parse_rational, read_json
 from .oracle import count_regions_oracle
 from .projective import (
     ProjArrangement,
@@ -43,8 +43,7 @@ from .toric import (
 
 
 def _load_any(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     kind = json_field(data, "type")
     if kind == "projective":
         return ProjArrangement.from_json(data)

@@ -6,14 +6,19 @@ Rationals occur only at the input boundary: `parse_rational` reads them,
 `format_rational` prints them, and a caller with a rational row clears its
 denominators before the row comes here.
 
-Elimination is fraction free (Bareiss, Math. Comp. 22, 1968): rows are kept
-primitive after every combination step, so intermediate entries stay small.
-Pivoting is deterministic (first nonzero entry in row-major order), which
-makes echelon forms and ranks reproducible across runs.
+Elimination is fraction free in two ways.  `echelon_insert`, which builds the
+canonical echelon forms that identify flats, cross-multiplies and then keeps
+every row primitive, so its entries stay small but each step pays a gcd.
+`rank` is Bareiss's elimination (Math. Comp. 22, 1968): each step divides
+exactly by the previous pivot, so every entry is a minor of the input and no
+gcd is taken.  Pivoting is deterministic (first nonzero entry of a row, rows
+in input order), which makes echelon forms and ranks reproducible across
+runs.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -60,6 +65,19 @@ def json_field(data, key: str, kind: type | tuple[type, ...] = object):
     if not isinstance(data[key], kind):
         raise ValueError(f"field {key!r} has the wrong type {type(data[key]).__name__}")
     return data[key]
+
+
+def read_json(path: str):
+    """The JSON value in the file at `path`.
+
+    A file nested too deeply for the decoder is refused as malformed input
+    (ValueError), not passed on as the decoder's RecursionError.
+    """
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 
 
 def format_rational(value: int | Fraction) -> str:
@@ -174,6 +192,27 @@ def in_rowspace(rows: tuple[Vec, ...], v: Sequence[int]) -> bool:
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact rank over Q via fraction-free elimination."""
-    return len(echelon_form(matrix))
+    """Exact rank over Q by Bareiss's fraction-free forward elimination.
+
+    Rows are taken in input order.  Each is reduced against the pivot rows
+    kept so far, step k multiplying by the pivot of step k and dividing by
+    that of step k - 1; the division is exact, and every entry is a minor of
+    the input (Sylvester's identity), so entries grow no further than minors
+    do.  A row left nonzero is kept, with its first nonzero entry as pivot.
+    Stops at full column rank.
+    """
+    kept: list[tuple[int, list[int]]] = []
+    for row in matrix:
+        w = list(row)
+        prev = 1
+        for c, r in kept:
+            p, x = r[c], w[c]
+            w = [(p * wi - x * ri) // prev for wi, ri in zip(w, r)]
+            prev = p
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is not None:
+            kept.append((c, w))
+            if len(kept) == len(w):
+                break
+    return len(kept)
 

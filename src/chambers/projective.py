@@ -17,7 +17,9 @@ nonzero entry of u) the trace of v is its vector of 2x2 minors
 u[p] v[c] - u[c] v[p], and in R^3 it is the point cross(u, v); `_traces`
 alone makes them, charging their len(rows) * len(u) entries to
 `feasibility.SWEEP_GUARD` first, as the toric sweep does: a walk is refused
-by the work it does, not by the general-position worst case.
+by the work it does, not by the general-position worst case.  Its arithmetic
+is written out for the two levels that every walk from RP^3 and up passes
+through, R^4 (three minors per row) and R^3 (the cross product).
 
 The intersection poset is the independent reference the tests compare the
 sweep with, through its characteristic polynomial and Zaslavsky's theorem.
@@ -48,6 +50,8 @@ from .exactlin import (
     parse_int_vector,
     primitive_normalize,
     primitive_scale,
+    rank,
+    read_json,
 )
 from .feasibility import SWEEP_GUARD, TooLargeError
 
@@ -110,17 +114,13 @@ def validate(arr: ProjArrangement) -> list[str]:
     violations = []
     seen = {}
     for i, u in enumerate(arr.covectors):
-        key = primitive_normalize(u)
+        # covectors are primitive, so u and -u are the only forms of one hyperplane
+        key = u if next(x for x in u if x) > 0 else tuple([-x for x in u])
         if key in seen:
             violations.append(f"DuplicateHyperplane: {seen[key]} and {i}")
         else:
             seen[key] = i
-    ech: tuple[Vec, ...] = ()
-    for u in arr.covectors:  # d+1 independent rows decide it; stop there
-        ech = echelon_insert(ech, u) or ech
-        if len(ech) == arr.d + 1:
-            break
-    else:
+    if rank(arr.covectors) <= arr.d:
         violations.append("CommonPoint: covector matrix rank below d+1")
     return violations
 
@@ -277,13 +277,15 @@ def _traces(u: Vec, rows: Sequence[Vec], budget: list[int]) -> list[Vec]:
     the trace is the point cross(H, V) of H instead.  Each trace is divided
     by its gcd, nonzero because no row is a multiple of u, and its first
     nonzero entry made positive, so equal traces are equal tuples.  The
-    arithmetic is written out because both walks make nearly all their
-    traces here: counting and finding m for the 388 RP^d arrangements of
-    the acceptance battery took 0.37-0.42 s this way and 0.50-0.61 s with
-    `primitive_normalize` on the same products (fastest of three, three
-    alternating rounds, 2-CPU Linux host).  `budget[0]` is what the walk
-    may still spend; the len(rows) * len(u) entries of the minors are
-    charged before any is computed.
+    arithmetic is written out for R^4 and R^3 because both walks make nearly
+    all their traces there: counting and finding m for the 396 RP^d
+    arrangements of the acceptance battery took 0.85-0.91 s this way,
+    0.90-1.04 s with R^3 alone written out and 1.03-1.22 s with
+    `primitive_normalize` on the same minors (fastest of three, five
+    alternating rounds, 2-CPU Linux host; the battery's RP^8 and RP^10
+    witnesses, which spend most of their time above R^4, are among them).
+    `budget[0]` is what the walk may still spend; the len(rows) * len(u)
+    entries of the minors are charged before any is computed.
     """
     budget[0] -= len(rows) * len(u)
     if budget[0] < 0:
@@ -301,6 +303,19 @@ def _traces(u: Vec, rows: Sequence[Vec], budget: list[int]) -> list[Vec]:
             out.append((x // g, y // g, z // g))
         return out
     p = next(c for c, x in enumerate(u) if x)
+    if len(u) == 4:
+        a, b, c = [k for k in range(4) if k != p]
+        up, ua, ub, uc = u[p], u[a], u[b], u[c]
+        for v in rows:
+            vp = v[p]
+            x = up * v[a] - ua * vp
+            y = up * v[b] - ub * vp
+            z = up * v[c] - uc * vp
+            g = gcd(x, y, z)
+            if x < 0 or not x and (y < 0 or not y and z < 0):
+                g = -g
+            out.append((x // g, y // g, z // g))
+        return out
     up = u[p]
     for v in rows:
         vp = v[p]
@@ -379,8 +394,7 @@ def _heaviest(rows: Sequence[Vec], weights: Sequence[int], ambient: int,
 
 
 def load_arrangement(path: str) -> ProjArrangement:
-    with open(path) as fh:
-        return ProjArrangement.from_json(json.load(fh))
+    return ProjArrangement.from_json(read_json(path))
 
 
 def dump_arrangement(arr: ProjArrangement, path: str) -> None:

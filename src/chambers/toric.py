@@ -62,7 +62,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
-                       parse_rational, primitive_scale)
+                       parse_rational, primitive_scale, read_json)
 from .feasibility import SWEEP_GUARD, TooLargeError, walk_sign_vectors
 
 LIFT_GUARD = 24
@@ -459,8 +459,7 @@ def count_regions_toric_grid(arr: ToricArrangement, refinement: int = 1) -> int:
 
 
 def load_toric(path: str) -> ToricArrangement:
-    with open(path) as fh:
-        return ToricArrangement.from_json(json.load(fh))
+    return ToricArrangement.from_json(read_json(path))
 
 
 def dump_toric(arr: ToricArrangement, path: str) -> None:

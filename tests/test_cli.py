@@ -153,6 +153,16 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == "internal error: invariant failed\n"
 
+    @pytest.mark.parametrize("argv", [["count"], ["gen", "cone", "--base"]])
+    def test_deeply_nested_file_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path} is nested too deeply to read as JSON\n"
+
     @pytest.mark.parametrize("payload", [
         {"type": "projective", "d": 2},
         {"type": "projective", "d": 2, "covectors": "1 0 0"},

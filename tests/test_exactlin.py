@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chambers import exactlin as ex
+from test_projective import naive_rank
 
 
 class TestPrimitiveNormalize:
@@ -43,6 +45,20 @@ class TestRank:
     ])
     def test_examples(self, matrix, expected):
         assert ex.rank(matrix) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda cols: st.tuples(
+        st.lists(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=cols, max_size=cols),
+                 max_size=5),
+        st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), max_size=6))))
+    def test_equals_rank_over_fractions(self, drawn):
+        # rows drawn as combinations of a few base rows plant dependencies
+        base, mixes = drawn
+        cols = len(base[0]) if base else 1
+        rows = list(base) + [[sum(k * b[j] for k, b in zip(mix, base)) for j in range(cols)]
+                             for mix in mixes]
+        random.Random(len(rows)).shuffle(rows)
+        assert ex.rank(rows) == naive_rank(rows)
 
 
 class TestEchelon:

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 from math import gcd
 from unittest.mock import patch
@@ -89,6 +91,15 @@ class TestValidate:
     def test_duplicates_found_past_full_rank(self):
         arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, -2, 0)))
         assert validate(arr) == ["DuplicateHyperplane: 1 and 4"]
+
+    def test_large_entries_in_rp24_validate_quickly(self):
+        # elimination must keep entries at the size of minors to finish in time
+        rng = random.Random(24)
+        arr = ProjArrangement(24, tuple(tuple(rng.randrange(-10 ** 100, 10 ** 100)
+                                              for _ in range(25)) for _ in range(25)))
+        start = time.perf_counter()
+        assert validate(arr) == []
+        assert time.perf_counter() - start < 1
 
     def test_count_refuses_invalid(self):
         arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0)))
