@@ -50,10 +50,10 @@ from .spectrum import (
     verify_bounds_batch,
 )
 from .toric import (
-    Subtorus,
     ToricArrangement,
     count_regions_toric,
     lift_to_cube,
+    subtorus,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "ProjArrangement",
     "Recipe",
     "SpectrumReport",
-    "Subtorus",
     "ToricArrangement",
     "bound_homological",
     "bound_mcmullen",
@@ -89,6 +88,7 @@ __all__ = [
     "search_projective",
     "search_toric",
     "sign_vector_feasible",
+    "subtorus",
     "three_extra_planes",
     "toric_construction_a",
     "toric_construction_b",

@@ -23,8 +23,9 @@ Criteria (all required unless marked stretch):
    nothing unexpected below 12n-60, full list as stretch;
 4. toric construction counts against their closed forms, cross-checked by
    the cube engine (`torus_decomposition`);
-5. the complete low toric spectrum at d = 2, n in {4, 5} up to cap 12, each
-   witness cross-checked by the cube engine;
+5. the complete low toric spectrum up to cap 2n + 2 at (n, d) in {(6, 2),
+   (7, 2), (8, 2), (8, 3)}, where the spectrum has gaps, each witness
+   cross-checked by the cube engine;
 6. zero violations of the four lower bounds over the whole registry,
    checked after every other selected criterion (an empty registry fails);
 7. sharpness: the homological bound met with equality by the parallel
@@ -185,18 +186,18 @@ def _toric_constructions(registry, seed):
 
 def _toric_plane_spectrum(registry, seed):
     problems = []
-    for n in (4, 5):
-        report = sp.search_toric(n, 2, cap=12)
+    for n, d in ((6, 2), (7, 2), (8, 2), (8, 3)):
+        report = sp.search_toric(n, d, cap=2 * n + 2)
         for f, recipe in report.found.items():
             arr = sp.build_recipe(recipe)
             registry.append((arr, f))
             if torus_decomposition(arr).f != f:
-                problems.append(f"n={n}: {recipe.describe()}: cube engine disagrees")
+                problems.append(f"n={n},d={d}: {recipe.describe()}: cube engine disagrees")
         if report.missing_predicted:
-            problems.append(f"n={n}: missing {report.missing_predicted}")
+            problems.append(f"n={n},d={d}: missing {report.missing_predicted}")
         if report.unexpected:
-            problems.append(f"n={n}: unexpected {report.unexpected}")
-    return problems, ("every predicted value up to 12 witnessed and agreed by the "
+            problems.append(f"n={n},d={d}: unexpected {report.unexpected}")
+    return problems, ("every predicted value up to 2n + 2 witnessed and agreed by the "
                       "cube engine, none outside the spectrum")
 
 

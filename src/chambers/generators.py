@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exactlin import Vec, cross3, dot, primitive_normalize
 from .projective import ProjArrangement, validate
-from .toric import Subtorus, ToricArrangement
+from .toric import ToricArrangement
 
 
 class PlacementError(ValueError):
@@ -506,11 +506,11 @@ def toric_construction_a(n: int, d: int, k: int,
     subtori = []
     for i in range(k):
         normal = tuple(1 if j == i else 0 for j in range(d))
-        subtori.append(Subtorus.make(normal, 0))
+        subtori.append((normal, 0))
     axis = tuple(1 if j == k else 0 for j in range(d))
     for c in fracs:
-        subtori.append(Subtorus.make(axis, c))
-    return ToricArrangement(d, tuple(subtori))
+        subtori.append((axis, c))
+    return ToricArrangement.make(d, subtori)
 
 
 def toric_construction_b(n: int, d: int, k: int,
@@ -543,13 +543,13 @@ def toric_construction_b(n: int, d: int, k: int,
     subtori = []
     for i in range(1, d):
         normal = tuple(1 if j == i else 0 for j in range(d))
-        subtori.append(Subtorus.make(normal, 0))
+        subtori.append((normal, 0))
     slope_normal = tuple([-k, 1] + [0] * (d - 2))
-    subtori.append(Subtorus.make(slope_normal, Fraction(1, 2)))
+    subtori.append((slope_normal, Fraction(1, 2)))
     e1 = tuple([1] + [0] * (d - 1))
     for c in fracs:
-        subtori.append(Subtorus.make(e1, c))
-    return ToricArrangement(d, tuple(subtori))
+        subtori.append((e1, c))
+    return ToricArrangement.make(d, subtori)
 
 
 def toric_construction_b_count(n: int, d: int, k: int) -> int:

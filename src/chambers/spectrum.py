@@ -34,7 +34,7 @@ from .projective import (
     max_point_multiplicity,
     validate,
 )
-from .toric import ToricArrangement, Subtorus, count_regions_toric
+from .toric import ToricArrangement, count_regions_toric
 
 
 class RecipeMismatchError(RuntimeError):
@@ -169,10 +169,8 @@ def build_recipe(recipe: Recipe):
         arr = gn.toric_construction_b(n, dprime, k)
         if dprime == d:
             return arr
-        subs = tuple(
-            Subtorus.make(s.normal + (0,) * (d - dprime), s.offset)
-            for s in arr.subtori)
-        return ToricArrangement(d, subs)
+        pad = (0,) * (d - dprime)
+        return ToricArrangement(d, tuple((a + pad, num, den) for a, num, den in arr.subtori))
     raise ValueError(f"unknown recipe family {family!r}")
 
 

@@ -1,7 +1,11 @@
 """Region counting for arrangements of codimension-one subtori in T^d.
 
 A subtorus is {x : a . x = c (mod 1)} for a primitive integer normal a and
-a rational offset c.
+a rational offset c.  Below the input boundary it is the integer key
+(p, num, den): p is a with a positive leading entry and num/den is c,
+reduced, with 0 <= num < den.  `_canonical` alone puts keys in this form,
+for `subtorus` and for the sweep's traces.  `Fraction` appears only where
+`make`, `from_json` and `to_json` convert offsets.
 
 `count_regions_toric` is a deletion-restriction sweep with the shape of
 `projective._sweep` (Ehrenborg, Readdy and Slone, *Affine and toric
@@ -11,19 +15,16 @@ time: chi(t) = t^d - sum_i chi_i(t), where chi_i belongs to the traces that
 H_1..H_(i-1) leave on H_i.  A unimodular change of coordinates maps each
 H_i onto T^(d-1), where every earlier subtorus leaves g parallel subtori
 (g = 0 when it is parallel to H_i) and equal traces merge; on T^1, n points
-give t - n.  The count is |lowest nonzero coefficient of chi|.  Inside the
-sweep a subtorus is the integer key (p, num, den): p is its primitive
-normal with a positive leading entry and num/den its offset, reduced, with
-0 <= num < den.  The sweep thus does integer arithmetic only; `Subtorus`
-and `Fraction` remain for parsing, JSON, the cube engine and the grid.  The
-sweep builds no cell, lifts nothing and solves no LP; like the RP^d sweep,
-it charges the entries it computes to `feasibility.SWEEP_GUARD` first.
+give t - n.  The count is |lowest nonzero coefficient of chi|.  The sweep
+builds no cell, lifts nothing and solves no LP; like the RP^d sweep, it
+charges the entries it computes to `feasibility.SWEEP_GUARD` first.
 
 `torus_decomposition`, the cube engine, is the exact cross-check.  It
 works in the closed fundamental cube [0,1]^d:
 
 1. lift each subtorus to the finitely many affine hyperplanes a . x = c + t
-   that meet the cube;
+   that meet the cube, as integer rows (den a, -(num + t den)), counting
+   them against `LIFT_GUARD` before any row is made;
 2. enumerate the open cells the lifted hyperplanes cut the open cube into
    (the shared sign-vector walk `feasibility.walk_sign_vectors`, one strict
    sign per lifted hyperplane, homogenized so the cube constraints become
@@ -57,19 +58,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
-                       parse_rational, primitive_scale, read_json)
+                       parse_rational, read_json)
 from .feasibility import SWEEP_GUARD, TooLargeError, walk_sign_vectors
 
 LIFT_GUARD = 24
 DIMENSION_GUARD = 4
 GRID_NODE_GUARD = 2 * 10 ** 7
 
-# A subtorus inside the sweep: (primitive normal, offset numerator, offset denominator).
+# A subtorus: (primitive normal, offset numerator, offset denominator), canonical.
 Key = tuple[Vec, int, int]
 
 
@@ -77,33 +78,34 @@ class UnstableError(RuntimeError):
     """Grid counts at refinements R and 2R disagree; refine further."""
 
 
-@dataclass(frozen=True)
-class Subtorus:
-    """Canonical form: primitive normal with positive leading entry, offset in [0,1).
+def subtorus(normal: Sequence[int], num: int, den: int) -> Key:
+    """The key of {a . x = num/den (mod 1)}, for den >= 1.
 
-    (a, c) and (-a, -c mod 1) describe the same subtorus and normalize to
-    the same representative.  A non-primitive normal is refused: with
-    g = gcd(a), {a . x = c} is g parallel subtori, not one.
+    (a, c) and (-a, -c mod 1) describe the same subtorus and give the same
+    key.  A non-primitive normal is refused: with g = gcd(a), {a . x = c} is
+    g parallel subtori, not one.
     """
+    a = tuple(normal)
+    if gcd(*a) != 1:
+        raise ValueError(f"normal {a} is not primitive")
+    return _canonical(a, (num,), den)[0]
 
-    normal: Vec
-    offset: Fraction
 
-    @staticmethod
-    def make(normal: Sequence[int], offset: int | Fraction) -> "Subtorus":
-        a = primitive_scale(normal)
-        if a != tuple(normal):
-            raise ValueError(f"normal {tuple(normal)} is not primitive")
-        c = Fraction(offset)
-        lead = next(x for x in a if x)
-        if lead < 0:
-            a = tuple(-x for x in a)
-            c = -c
-        return Subtorus(a, c % 1)
+def _canonical(p: Vec, nums: Iterable[int], den: int) -> list[Key]:
+    """Keys of the parallel subtori {p . x = num/den (mod 1)}, num in nums, p primitive.
 
-    def to_json(self) -> dict:
-        return {"a": [str(x) for x in self.normal],
-                "c": format_rational(self.offset)}
+    If p leads with a negative entry, p and the offsets are negated (tested once
+    for all of them); each offset is then taken mod 1 and reduced by one gcd.
+    """
+    sign = 1
+    if next(x for x in p if x) < 0:
+        p, sign = tuple(-x for x in p), -1
+    keys = []
+    for num in nums:
+        num = sign * num % den
+        t = gcd(num, den)
+        keys.append((p, num // t, den // t))
+    return keys
 
 
 def _check_dimension(d: int) -> None:
@@ -113,16 +115,21 @@ def _check_dimension(d: int) -> None:
 
 @dataclass(frozen=True)
 class ToricArrangement:
+    """Distinct subtori of T^d, each a canonical key (see `subtorus`)."""
+
     d: int
-    subtori: tuple[Subtorus, ...]
+    subtori: tuple[Key, ...]
 
     def __post_init__(self):
         _check_dimension(self.d)
         if not self.subtori:
             raise ValueError("need at least one subtorus")
-        for s in self.subtori:
-            if len(s.normal) != self.d:
-                raise ValueError(f"normal {s.normal} has wrong length for T^{self.d}")
+        for key in self.subtori:
+            a, num, den = key
+            if len(a) != self.d:
+                raise ValueError(f"normal {a} has wrong length for T^{self.d}")
+            if den < 1 or subtorus(a, num, den) != key:
+                raise ValueError(f"{key} is not a canonical subtorus key")
         if len(set(self.subtori)) != len(self.subtori):
             raise ValueError("duplicate subtorus after canonicalization")
 
@@ -133,11 +140,12 @@ class ToricArrangement:
     @staticmethod
     def make(d: int, subtori: Iterable[tuple[Sequence[int], int | Fraction]]) -> "ToricArrangement":
         _check_dimension(d)  # before the normals, which are empty when d = 0
-        return ToricArrangement(d, tuple(Subtorus.make(a, c) for a, c in subtori))
+        return ToricArrangement(d, tuple(subtorus(a, *c.as_integer_ratio()) for a, c in subtori))
 
     def to_json(self) -> dict:
         return {"type": "toric", "d": self.d,
-                "subtori": [s.to_json() for s in self.subtori]}
+                "subtori": [{"a": [str(x) for x in a], "c": format_rational(Fraction(num, den))}
+                            for a, num, den in self.subtori]}
 
     @staticmethod
     def from_json(data: dict) -> "ToricArrangement":
@@ -148,17 +156,20 @@ class ToricArrangement:
         return ToricArrangement.make(parse_int(json_field(data, "d")), subs)
 
 
-def lift_to_cube(arr: ToricArrangement) -> list[tuple[Vec, Fraction]]:
-    """All integer translates a . x = c + t meeting the closed unit cube."""
-    lifted = []
-    for s in arr.subtori:
-        lo = sum(min(a, 0) for a in s.normal)
-        hi = sum(max(a, 0) for a in s.normal)
-        t = ceil(lo - s.offset)
-        while s.offset + t <= hi:
-            lifted.append((s.normal, s.offset + t))
-            t += 1
-    return lifted
+def lift_to_cube(arr: ToricArrangement) -> list[Vec]:
+    """Rows (den a, -(num + t den)) of the translates a . x = num/den + t meeting [0,1]^d.
+
+    There a . x fills [lo, hi], the sums of a's negative and positive entries;
+    as 0 <= num/den < 1, t runs from lo to hi, hi left out when num > 0.  More
+    than `LIFT_GUARD` translates raise TooLargeError before any row is made.
+    """
+    translates = [(a, num, den, range(sum(x for x in a if x < 0),
+                                      sum(x for x in a if x > 0) + (num == 0)))
+                  for a, num, den in arr.subtori]
+    total = sum(len(ts) for *_, ts in translates)
+    if total > LIFT_GUARD:
+        raise TooLargeError(f"{total} lifted hyperplanes exceed the guard")
+    return [(*(x * den for x in a), -(num + t * den)) for a, num, den, ts in translates for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -170,47 +181,43 @@ def count_regions_toric(arr: ToricArrangement) -> int:
 
     The count is |lowest nonzero coefficient| of the characteristic
     polynomial: |chi(0)| when the normals span R^d, and otherwise chi is
-    t^(d - r) times the chi of the essential arrangement in T^r.  Each
-    subtorus enters the sweep as its integer key (normal, numerator,
-    denominator); no `Subtorus` or `Fraction` is made below this call.
+    t^(d - r) times the chi of the essential arrangement in T^r.
     """
-    keys = [(s.normal, s.offset.numerator, s.offset.denominator) for s in arr.subtori]
-    chi = _sweep(keys, arr.d, [SWEEP_GUARD])
+    chi = _sweep(arr.subtori, arr.d, [SWEEP_GUARD], {})
     return abs(next(c for c in chi if c))
 
 
-def _sweep(subtori: Sequence[Key], d: int, budget: list[int]) -> list[int]:
+def _sweep(subtori: Sequence[Key], d: int, budget: list[int],
+           bases: dict[Vec, list[Vec]]) -> list[int]:
     """chi(t) of distinct subtori of T^d, as coefficients indexed by power.
 
     Adding a subtorus H subtracts the chi of the traces that the earlier
     subtori leave on H, a subtorus arrangement in T^(d-1).  On T^1, n
-    points give t - n.
+    points give t - n.  `bases` keeps each normal's unimodular basis.
     """
     if d == 1:
         return [-len(subtori), 1]
     chi = [0] * d + [1]
     for i, h in enumerate(subtori):
-        for power, c in enumerate(_sweep(_traces(h, subtori[:i], budget), d - 1, budget)):
+        traces = _traces(h, subtori[:i], budget, bases)
+        for power, c in enumerate(_sweep(traces, d - 1, budget, bases)):
             chi[power] -= c
     return chi
 
 
-def _traces(h: Key, earlier: Sequence[Key], budget: list[int]) -> list[Key]:
-    """The distinct subtori that `earlier` cut on H, in H's coordinates y.
+def _traces(h: Key, earlier: Sequence[Key], budget: list[int],
+            bases: dict[Vec, list[Vec]]) -> list[Key]:
+    """The distinct subtori that `earlier` cut on H, as keys in H's coordinates y.
 
-    A key (p, num, den) is the subtorus {p . x = num/den (mod 1)} in the
-    canonical form of `Subtorus`: p primitive with a positive leading
-    entry, gcd(num, den) = 1 and 0 <= num < den.  With V from
-    `_unimodular_basis`, y -> c V[0] + sum_k y_k V[k] maps T^(d-1) onto
-    H = {a . x = c}.  There K = {b . x = e} reads g p . y = r with
-    bV[1:] = g p, p primitive and r = e - c b . V[0], computed over the
-    denominator den_K den_H: g parallel subtori p . y = (r + j)/g if g > 0,
-    none if bV[1:] = 0 (K is parallel to H).  Each offset is reduced by one
-    gcd and taken mod 1; where p leads with a negative entry, p and the
-    offset are negated.  Equal traces merge, first occurrence first.
+    With V from `_unimodular_basis`, y -> c V[0] + sum_k y_k V[k] maps
+    T^(d-1) onto H = {a . x = c}.  There K = {b . x = e} reads g p . y = r
+    with bV[1:] = g p, p primitive and r = e - c b . V[0], computed over
+    the denominator den_K den_H: g parallel subtori p . y = (r + j)/g if
+    g > 0, which `_canonical` turns into keys, and none if bV[1:] = 0 (K is
+    parallel to H).  Equal traces merge, first occurrence first.
     `budget[0]` is what the sweep may still spend.  The (len(earlier) + 1)
-    d^2 entries of V and the forms are charged before V is built, and the
-    (d - 1) sum g entries of the traces before any trace is made.
+    d^2 entries of V and the forms are charged before V is taken from
+    `bases` or built, and the (d - 1) sum g of the traces before any trace.
     """
     if not earlier:
         return []
@@ -218,7 +225,9 @@ def _traces(h: Key, earlier: Sequence[Key], budget: list[int]) -> list[Key]:
     budget[0] -= (len(earlier) + 1) * len(a) ** 2
     if budget[0] < 0:
         raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
-    v0, *basis = _unimodular_basis(a)
+    if a not in bases:
+        bases[a] = _unimodular_basis(a)
+    v0, *basis = bases[a]
     forms = []
     for b, kn, kd in earlier:  # sum(map(mul, ..)) is `dot` without its length check
         w = [sum(map(mul, b, v)) for v in basis]
@@ -230,15 +239,7 @@ def _traces(h: Key, earlier: Sequence[Key], budget: list[int]) -> list[Key]:
         raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
     traces = []
     for w, g, r, den in forms:
-        p = tuple(x // g for x in w)
-        sign = 1
-        if next(x for x in p if x) < 0:
-            p, sign = tuple(-x for x in p), -1
-        whole = den * g
-        for j in range(g):
-            num = sign * (r + j * den) % whole
-            t = gcd(num, whole)
-            traces.append((p, num // t, whole // t))
+        traces += _canonical(tuple(x // g for x in w), range(r, r + g * den, den), g * den)
     return list(dict.fromkeys(traces))
 
 
@@ -334,22 +335,17 @@ def _stepped_signs(rows: Sequence[Vec], z: Vec, axis: int, direction: int) -> tu
 def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
     if arr.d > DIMENSION_GUARD:
         raise TooLargeError(f"d = {arr.d} exceeds the dimension guard")
-    lifted = lift_to_cube(arr)
-    if len(lifted) > LIFT_GUARD:
-        raise TooLargeError(f"{len(lifted)} lifted hyperplanes exceed the guard")
     d = arr.d
-    rows = [(*(x * b.denominator for x in a), -b.numerator) for a, b in lifted]  # (a, -b) * den
+    rows = lift_to_cube(arr)
 
     cells = _enumerate_cells(d, rows)
     index = {signs: i for i, (signs, _) in enumerate(cells)}
     uf = _UnionFind(len(cells))
     glued = 0
 
-    unit = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    lifted_set = set(lifted)
     for axis in range(d):
-        if (unit[axis], 0) in lifted_set:
-            continue  # the facet pair lies on the arrangement; nothing glues
+        if tuple(int(j == axis) for j in range(d + 1)) in rows:
+            continue  # the facet pair lies on the row x_axis = 0; nothing glues
         # induced arrangement on the facet x_axis = 0: drop the axis column
         traces = [r[:axis] + r[axis + 1:] for r in rows]
         for _, q in _enumerate_cells(d - 1, traces):
@@ -375,15 +371,15 @@ def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
     from scipy.sparse.csgraph import connected_components
 
     d = arr.d
-    big_b = 2 + sum(sum(abs(a) for a in s.normal) for s in arr.subtori)
+    big_b = 2 + sum(sum(abs(a) for a in normal) for normal, _, _ in arr.subtori)
     scale = 2 * big_b ** d  # shift s_i = 1 / (2 B^i) in pitch units
     if pitch_count ** d > GRID_NODE_GUARD:
         raise TooLargeError(f"grid of {pitch_count ** d} nodes exceeds the guard")
 
     # int64 safety: the largest scaled value is bounded by scale * (|a| + 1) * N
     worst = max(
-        scale * pitch_count * (sum(abs(a) for a in s.normal) + 1)
-        for s in arr.subtori)
+        scale * pitch_count * (sum(abs(a) for a in normal) + 1)
+        for normal, _, _ in arr.subtori)
     if worst >= 2 ** 62:
         raise TooLargeError("grid arithmetic would overflow int64")
 
@@ -395,14 +391,14 @@ def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
     axes_coords = [np.arange(pitch_count, dtype=np.int64) for _ in range(d)]
 
     blocked = [np.zeros(shape, dtype=bool) for _ in range(d)]
-    for s in arr.subtori:
-        c_scaled = s.offset * pitch_count
-        if c_scaled.denominator != 1:
+    for normal, num, den in arr.subtori:
+        c_scaled, rest = divmod(num * pitch_count, den)
+        if rest:
             raise RuntimeError("grid pitch must clear offset denominators")
-        phi = sum(a * big_b ** (d - 1 - i) for i, a in enumerate(s.normal))
-        const = -int(c_scaled) * scale + phi
+        phi = sum(a * big_b ** (d - 1 - i) for i, a in enumerate(normal))
+        const = -c_scaled * scale + phi
         values = np.full(shape, const, dtype=np.int64)
-        for i, a in enumerate(s.normal):
+        for i, a in enumerate(normal):
             if a:
                 view = (a * scale) * axes_coords[i]
                 reshape = [1] * d
@@ -411,10 +407,10 @@ def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
         floors = values // (scale * pitch_count)
         for i in range(d):
             rolled = np.roll(floors, -1, axis=i)
-            if s.normal[i]:
+            if normal[i]:
                 wrap = [slice(None)] * d
                 wrap[i] = pitch_count - 1
-                rolled[tuple(wrap)] += s.normal[i]
+                rolled[tuple(wrap)] += normal[i]
             blocked[i] |= floors != rolled
     for i in range(d):
         ok = ~blocked[i]
@@ -441,9 +437,9 @@ def count_regions_toric_grid(arr: ToricArrangement, refinement: int = 1) -> int:
     if refinement < 1:
         raise ValueError("refinement must be >= 1")
     q = 1
-    for s in arr.subtori:
-        q = lcm(q, s.offset.denominator)
-        for a in s.normal:
+    for normal, _, den in arr.subtori:
+        q = lcm(q, den)
+        for a in normal:
             if a:
                 q = lcm(q, abs(a))
     count_r = _grid_component_count(arr, refinement * q)

@@ -11,6 +11,7 @@ import re
 import pytest
 
 from chambers import acceptance
+from chambers import bounds as bd
 from chambers import spectrum as sp
 from chambers.acceptance import _catalog_small, battery_exit_code, run_battery
 
@@ -81,6 +82,18 @@ def test_criterion_5_toric_plane_spectrum(battery):
     assert result.passed, result.detail
 
 
+def test_criterion_5_fails_when_a_gap_value_is_admitted(monkeypatch):
+    # 2(n - d) - 1 lies in the gap at each (n, d) that c5 searches; no
+    # construction reaches it, so it must be reported missing
+    contains = bd.toric_spectrum_contains
+    monkeypatch.setattr(bd, "toric_spectrum_contains",
+                        lambda n, d, f: f == 2 * (n - d) - 1 or contains(n, d, f))
+    [result] = run_battery(only={5}, echo=lambda line: None)
+    assert not result.passed
+    assert result.detail == ("n=6,d=2: missing [7]; n=7,d=2: missing [9]; "
+                             "n=8,d=2: missing [11]; n=8,d=3: missing [9]")
+
+
 def test_criterion_6_bound_invariants(battery):
     result = _get(battery, 6)
     assert result.passed, result.detail
@@ -102,7 +115,7 @@ def test_exit_code_contract(battery):
 
 # sha256 of the full battery's printed lines, joined by newlines, each
 # without its trailing "(x.xs)" timing.
-BATTERY_LINES = "f6ef0f51cfa13d736757df8ca41cf10b4c67b309d7e590bcd8d3a5530a1ff7a1"
+BATTERY_LINES = "105d10793b9c333f6db9406046c9a14679c17cc0915bff582b2545b19768ffd7"
 
 
 def test_printed_lines_are_pinned(printed):

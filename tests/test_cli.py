@@ -77,9 +77,9 @@ class TestCount:
         assert captured.err.startswith("error: ")
 
     @staticmethod
-    def refused_quickly(capsys, path):
+    def refused_quickly(capsys, path, *flags):
         start = time.perf_counter()
-        code = main(["count", str(path)])
+        code = main(["count", *flags, str(path)])
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert code == 2
@@ -91,6 +91,12 @@ class TestCount:
         dump_toric(ToricArrangement.make(2, [((1, 10 ** 6), 0), ((1, -10 ** 6), 0)]),
                    str(path))
         self.refused_quickly(capsys, path)
+
+    def test_steep_normal_is_refused_by_the_cube_engine(self, capsys, tmp_path):
+        # (10^9, 1) . x = 0 meets the unit square in 10^9 + 2 translates
+        path = tmp_path / "steep.json"
+        dump_toric(ToricArrangement.make(2, [((10 ** 9, 1), 0)]), str(path))
+        self.refused_quickly(capsys, path, "--engine", "cube")
 
     def test_high_dimensional_toric_is_usage_error(self, capsys, tmp_path):
         # each restriction would build a 2000 x 2000 unimodular basis

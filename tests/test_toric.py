@@ -9,12 +9,12 @@ from chambers import toric as tc
 from chambers.exactlin import dot, primitive_scale
 from chambers.generators import toric_construction_b
 from chambers.toric import (
-    Subtorus,
     TooLargeError,
     ToricArrangement,
     count_regions_toric,
     count_regions_toric_grid,
     lift_to_cube,
+    subtorus,
     torus_decomposition,
 )
 
@@ -23,52 +23,61 @@ def make(d, *subtori):
     return ToricArrangement.make(d, subtori)
 
 
-def key(s):
-    """The sweep's integer key of a subtorus."""
-    return s.normal, s.offset.numerator, s.offset.denominator
-
-
 class TestCanonicalization:
     def test_sign_flip_merges(self):
-        s1 = Subtorus.make((-1, 1), Fraction(1, 2))
-        s2 = Subtorus.make((1, -1), Fraction(1, 2))
-        assert s1 == s2
-        assert s1.normal == (1, -1)
-        assert s1.offset == Fraction(1, 2)
+        assert subtorus((-1, 1), 1, 2) == subtorus((1, -1), 1, 2) == ((1, -1), 1, 2)
+        assert subtorus((0, -1), 1, 3) == ((0, 1), 2, 3)
 
     def test_offset_wraps_into_unit_interval(self):
-        s = Subtorus.make((1, 0), Fraction(7, 3))
-        assert s.normal == (1, 0)
-        assert s.offset == Fraction(1, 3)
+        assert subtorus((1, 0), 7, 3) == ((1, 0), 1, 3)
+        assert subtorus((1, 0), -6, 4) == ((1, 0), 1, 2)
+        assert make(1, ((1,), Fraction(-5, 2))).subtori == (((1,), 1, 2),)
 
     def test_non_primitive_normal_rejected(self):
         with pytest.raises(ValueError, match=r"\(2, 0\)"):
-            Subtorus.make((2, 0), Fraction(1, 3))
+            subtorus((2, 0), 1, 3)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             make(2, ((1, 0), Fraction(1, 2)), ((-1, 0), Fraction(1, 2)))
 
+    @pytest.mark.parametrize("key", [
+        ((-1, 1), 1, 2),  # negative leading entry
+        ((1, 0), 4, 3),  # offset outside [0, 1)
+        ((1, 0), 2, 4),  # offset not reduced
+        ((1, 0), 1, -2),  # negative denominator
+        ((1, 0), 0, 0),  # zero denominator
+        ((2, 0), 0, 1),  # non-primitive normal
+        ([1, 0], 0, 1),  # normal not a tuple
+    ])
+    def test_non_canonical_key_refused(self, key):
+        with pytest.raises(ValueError):
+            ToricArrangement(2, (key,))
+
 
 class TestLiftToCube:
     def test_single_vertical(self):
-        arr = make(2, ((1, 0), Fraction(1, 2)))
-        assert lift_to_cube(arr) == [((1, 0), Fraction(1, 2))]
+        # x1 = 1/2 is the row 2 x1 - 1 = 0
+        assert lift_to_cube(make(2, ((1, 0), Fraction(1, 2)))) == [(2, 0, -1)]
 
     def test_diagonal_half_offset(self):
+        # the key is x1 - x2 = 1/2, lifted to x1 - x2 = -1/2 and 1/2
         arr = make(2, ((-1, 1), Fraction(1, 2)))
-        lifted = lift_to_cube(arr)
-        assert sorted(b for _, b in lifted) == [Fraction(-1, 2), Fraction(1, 2)]
+        assert lift_to_cube(arr) == [(2, -2, 1), (2, -2, -1)]
 
     def test_steep_slope_translate_count(self):
         # 3x - y = t meets the closed square for t in {-1, 0, 1, 2, 3}; the
         # extreme two only touch corners but they do meet the cube
         arr = make(2, ((3, -1), 0))
-        assert len(lift_to_cube(arr)) == 5
+        assert lift_to_cube(arr) == [(3, -1, -t) for t in range(-1, 4)]
 
     def test_coordinate_subtorus_gives_both_facets(self):
-        arr = make(2, ((1, 0), 0))
-        assert sorted(b for _, b in lift_to_cube(arr)) == [0, 1]
+        assert lift_to_cube(make(2, ((1, 0), 0))) == [(1, 0, 0), (1, 0, -1)]
+
+    def test_guard_refuses_before_lifting(self):
+        # t = 0..10^12: counted in closed form, never made
+        with pytest.raises(TooLargeError, match="1000000000001 lifted"):
+            lift_to_cube(make(2, ((10 ** 12, 1), Fraction(1, 3))))
 
 
 class TestExactCounter:
@@ -95,8 +104,8 @@ class TestExactCounter:
     def test_two_transverse_geodesics(self):
         # x2 = 0 and x2 = 4 x1 + 1/2 meet in 4 points: 4 regions
         arr = make(2, ((0, 1), 0), ((-4, 1), Fraction(1, 2)))
-        x2, slope = map(key, arr.subtori)
-        assert len(tc._traces(slope, [x2], [tc.SWEEP_GUARD])) == 4
+        x2, slope = arr.subtori
+        assert len(tc._traces(slope, [x2], [tc.SWEEP_GUARD], {})) == 4
         assert count_regions_toric(arr) == 4
 
     def test_three_coordinate_subtori_in_t3(self):
@@ -144,7 +153,7 @@ def toric_arrangements(draw):
     for _ in range(draw(st.integers(1, 5))):
         a = primitive_scale(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)
                                  .filter(any)))
-        subtori[Subtorus.make(a, Fraction(draw(st.integers(0, 3)), 4))] = None
+        subtori[subtorus(a, draw(st.integers(0, 3)), 4)] = None
     return ToricArrangement(d, tuple(subtori))
 
 
@@ -214,9 +223,8 @@ class TestTraceKeys:
         # leaves y in {0, 1/4, 2/4, 3/4}: 2/4 must reduce to 1/2 to merge.
         # 4 vertices and 4 + 2 + 4 edges leave 6 regions
         arr = make(2, ((2, 1), 0), ((4, 1), 0), ((0, 1), 0))
-        assert tc._traces(key(arr.subtori[2]), [key(s) for s in arr.subtori[:2]],
-                          [tc.SWEEP_GUARD]) == [((1,), 0, 1), ((1,), 1, 2),
-                                                ((1,), 1, 4), ((1,), 3, 4)]
+        assert tc._traces(arr.subtori[2], arr.subtori[:2], [tc.SWEEP_GUARD], {}) == [
+            ((1,), 0, 1), ((1,), 1, 2), ((1,), 1, 4), ((1,), 3, 4)]
         assert count_regions_toric(arr) == torus_decomposition(arr).f == 6
 
     @pytest.mark.parametrize("den", [3, 1000000007])
@@ -226,9 +234,9 @@ class TestTraceKeys:
         # point and have 3 edges, so 2 regions
         arr = make(2, ((1, -1), Fraction(1, den)), ((0, 1), Fraction(den - 1, den)),
                    ((1, 0), 0))
-        slope, x2, x1 = map(key, arr.subtori)
-        assert tc._traces(x1, [slope], [tc.SWEEP_GUARD]) == [((1,), den - 1, den)]
-        assert tc._traces(x1, [slope, x2], [tc.SWEEP_GUARD]) == [((1,), den - 1, den)]
+        slope, x2, x1 = arr.subtori
+        assert tc._traces(x1, [slope], [tc.SWEEP_GUARD], {}) == [((1,), den - 1, den)]
+        assert tc._traces(x1, [slope, x2], [tc.SWEEP_GUARD], {}) == [((1,), den - 1, den)]
         assert count_regions_toric(arr) == torus_decomposition(arr).f == 2
 
     @settings(deadline=None, max_examples=75)
@@ -236,15 +244,15 @@ class TestTraceKeys:
     def test_every_trace_is_canonical(self, arr):
         def walk(keys, d):
             for i, h in enumerate(keys):
-                traces = tc._traces(h, keys[:i], [tc.SWEEP_GUARD])
+                traces = tc._traces(h, keys[:i], [tc.SWEEP_GUARD], {})
                 for p, num, den in traces:
-                    # make refuses a non-primitive p and returns the canonical form
-                    assert key(Subtorus.make(p, Fraction(num, den))) == (p, num, den)
+                    assert gcd(*p) == 1 and next(x for x in p if x) > 0
+                    assert 0 <= num < den and gcd(num, den) == 1
                 assert len(set(traces)) == len(traces)
                 if d > 2:
                     walk(traces, d - 1)
 
-        walk([key(s) for s in arr.subtori], arr.d)
+        walk(arr.subtori, arr.d)
 
 
 class TestGridCounter:
