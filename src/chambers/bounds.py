@@ -1,26 +1,21 @@
-"""Closed-form lower bounds and predicted region-count spectra.
+"""Closed-form lower bounds and the paper's predicted region-count spectra.
 
 Pure exact functions.  Bounds may be fractional; comparisons against the
 integer region count f always go through the ceiling, exposed on
-`BoundValue`.  The spectra here are the package's reference predictions:
-
-* `first_four_counts(n, d)`: for d >= 3 and n >= 2d+5 the four smallest
-  region counts realizable by n hyperplanes in RP^d.
-* `low_counts_3d(n)`: for n >= 50 the full list of 36 realizable counts up
-  to 12n-60 for arrangements in RP^3, stored as (slope, intercept) pairs in
-  n so any n is supported and sortedness can be checked.
-* `martinov_subset(n)`: the members of Martinov's plane spectrum up to
-  4n-12, i.e. the four smallest counts for n lines in RP^2.
-* `toric_spectrum_contains(n, d, f)`: membership in the predicted spectrum
-  for n codimension-one subtori of the flat torus T^d.
+`BoundValue`.  `CLAIMS` is the one statement of each spectrum claim: its
+space, its range, its default cap and its values up to a cap.  `predicted`
+reads a row inside its range, `projective_claim` picks the row a projective
+search is checked against, and `chambers spectrum` lists one row per mode.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 
 class OutOfTheoremRangeError(ValueError):
@@ -148,27 +143,20 @@ def bound_quadratic(n: int, d: int, m: int) -> BoundValue:
 # predicted spectra
 
 
-def first_four_cap(n: int, d: int) -> int:
-    return 7 * (n - d) * 2 ** (d - 3)
+class Claim(NamedTuple):
+    """One spectrum claim of the paper, for n hypersurfaces in `space`: its
+    range, as text and as `in_range(n, d)`; `d`, the one dimension it speaks
+    of, or None; its default `cap(n, d)`; `values(n, d, cap)`, increasing,
+    at least those up to cap; and its `chambers spectrum` mode and help."""
 
-
-def first_four_counts(n: int, d: int) -> list[int]:
-    """The four smallest realizable counts for n hyperplanes in RP^d.
-
-    Valid for d >= 3 and n >= 2d+5; the fourth value is the threshold below
-    which nothing else is realizable.
-    """
-    if d < 3 or n < 2 * d + 5:
-        raise OutOfTheoremRangeError(f"(n, d) = ({n}, {d}) outside d >= 3, n >= 2d+5")
-    values = [
-        (n - d + 1) * 2 ** (d - 1),
-        3 * (n - d) * 2 ** (d - 2),
-        (3 * n - 3 * d + 1) * 2 ** (d - 2),
-        7 * (n - d) * 2 ** (d - 3),
-    ]
-    if any(a >= b for a, b in zip(values, values[1:])):
-        raise RuntimeError(f"first four counts not increasing at (n, d) = ({n}, {d})")
-    return values
+    space: str
+    d: int | None
+    range: str
+    in_range: Callable[[int, int], bool]
+    cap: Callable[[int, int], int]
+    values: Callable[[int, int, int], list[int]]
+    flag: str
+    help: str
 
 
 # (slope, intercept) pairs: counts of the form slope * n + intercept
@@ -185,30 +173,72 @@ LOW_COUNT_FORMS_3D: tuple[tuple[int, int], ...] = (
 )
 
 
-def low_range_cap_3d(n: int) -> int:
-    return 12 * n - 60
+# The claims, in the order `chambers spectrum` lists its modes.
+CLAIMS: dict[str, Claim] = {
+    "first_four": Claim(
+        "projective", None, "d >= 3, n >= 2d+5", lambda n, d: d >= 3 and n >= 2 * d + 5,
+        lambda n, d: 7 * (n - d) * 2 ** (d - 3),
+        lambda n, d, cap: [(n - d + 1) * 2 ** (d - 1), 3 * (n - d) * 2 ** (d - 2),
+                           (3 * n - 3 * d + 1) * 2 ** (d - 2), 7 * (n - d) * 2 ** (d - 3)],
+        "first-four", "four smallest counts in RP^d (d >= 3, n >= 2d+5)"),
+    "low_range_3d": Claim(
+        "projective", 3, "d = 3, n >= 50", lambda n, d: d == 3 and n >= 50,
+        lambda n, d: 12 * n - 60, lambda n, d, cap: [a * n + b for a, b in LOW_COUNT_FORMS_3D],
+        "low-range-3d", "all 36 counts up to 12n-60 in RP^3 (n >= 50)"),
+    "toric_spectrum": Claim(
+        "toric", None, "n >= 2, d >= 2", lambda n, d: n >= 2 and d >= 2,
+        lambda n, d: 2 * n,
+        lambda n, d, cap: [f for f in range(1, cap + 1) if toric_spectrum_contains(n, d, f)],
+        "toric", "predicted toric spectrum up to --cap"),
+    "martinov": Claim(
+        "projective", 2, "d = 2, n >= 7", lambda n, d: d == 2 and n >= 7,
+        lambda n, d: 4 * n - 12,
+        lambda n, d, cap: sorted({2 * n - 2, 3 * n - 6, 3 * n - 5, 4 * n - 12}),
+        "martinov", "plane spectrum members up to 4n-12"),
+}
+
+
+def predicted(name: str, n: int, d: int, cap: int | None = None) -> tuple[int, list[int]]:
+    """(cap, values): the claim's values at (n, d) up to cap, increasing, and
+    the cap, which is the claim's default when `cap` is None.  Raises
+    OutOfTheoremRangeError outside the claim's range."""
+    claim = CLAIMS[name]
+    if not claim.in_range(n, d):
+        raise OutOfTheoremRangeError(f"(n, d) = ({n}, {d}) outside {claim.range}")
+    if cap is None:
+        cap = claim.cap(n, d)
+    values = claim.values(n, d, cap)
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise RuntimeError(f"{name} values not increasing at (n, d) = ({n}, {d})")
+    return cap, [v for v in values if v <= cap]
+
+
+def projective_claim(n: int, d: int) -> str:
+    """The claim a projective search at (n, d) is checked against: the first
+    of martinov, low_range_3d and first_four whose range holds."""
+    names = ("martinov", "low_range_3d", "first_four")
+    for name in names:
+        if CLAIMS[name].in_range(n, d):
+            return name
+    raise OutOfTheoremRangeError(
+        f"(n, d) = ({n}, {d}) outside {'; '.join(CLAIMS[name].range for name in names)}")
+
+
+def first_four_counts(n: int, d: int) -> list[int]:
+    """The four smallest realizable counts for n hyperplanes in RP^d; nothing
+    else is realizable below the fourth."""
+    return predicted("first_four", n, d)[1]
 
 
 def low_counts_3d(n: int) -> list[int]:
-    """All 36 realizable counts up to 12n-60 for n >= 50 planes in RP^3."""
-    if n < 50:
-        raise OutOfTheoremRangeError(f"n = {n} below the validity threshold 50")
-    values = [a * n + b for a, b in LOW_COUNT_FORMS_3D]
-    if len(values) != 36 or any(a >= b for a, b in zip(values, values[1:])):
-        raise RuntimeError(f"low-count forms are not 36 increasing values at n = {n}")
-    return values
+    """All 36 realizable counts up to 12n-60 for n planes in RP^3."""
+    return predicted("low_range_3d", n, 3)[1]
 
 
 def martinov_subset(n: int) -> set[int]:
-    """Members of the plane spectrum for n lines up to 4n-12.
-
-    These are Martinov's four smallest values {2n-2, 3n-6, 3n-5, 4n-12};
-    callers indexing by a deleted line should evaluate at n-1.  The values
-    are pairwise distinct for n >= 8 (3n-5 = 4n-12 at n = 7).
-    """
-    if n < 7:
-        raise OutOfTheoremRangeError(f"(n, d) = ({n}, 2) outside d = 2, n >= 7")
-    return {2 * n - 2, 3 * n - 6, 3 * n - 5, 4 * n - 12}
+    """Martinov's four smallest values for n lines in RP^2, up to 4n-12;
+    3n-5 = 4n-12 at n = 7."""
+    return set(predicted("martinov", n, 2)[1])
 
 
 def toric_spectrum_contains(n: int, d: int, f: int) -> bool:
@@ -222,7 +252,3 @@ def toric_spectrum_contains(n: int, d: int, f: int) -> bool:
     if n <= d:
         return True
     return (n - d + 1 <= f <= n) or f >= 2 * (n - d)
-
-
-def toric_predicted_values(n: int, d: int, cap: int) -> list[int]:
-    return [f for f in range(1, cap + 1) if toric_spectrum_contains(n, d, f)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import acceptance
@@ -98,26 +99,18 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if not (args.first_four or args.low_range_3d or args.toric or args.martinov):
-        print("choose one of --first-four, --low-range-3d, --toric, --martinov",
-              file=sys.stderr)
+    if args.claim is None:
+        flags = ", ".join(f"--{claim.flag}" for claim in bd.CLAIMS.values())
+        print(f"choose one of {flags}", file=sys.stderr)
         return 2
-    if args.cap is not None and not args.toric:
+    claim = bd.CLAIMS[args.claim]
+    if args.cap is not None and claim.space != "toric":
         raise ValueError("--cap applies to --toric only")
-    fixed_d = 3 if args.low_range_3d else 2 if args.martinov else None
-    if args.d is not None and fixed_d not in (None, args.d):
-        mode = "--low-range-3d" if args.low_range_3d else "--martinov"
-        raise ValueError(f"-d {args.d} does not apply: {mode} lists counts in RP^{fixed_d}")
-    d = 3 if args.d is None else args.d
-    if args.first_four:
-        _emit(bd.first_four_counts(args.n, d))
-    elif args.low_range_3d:
-        _emit(bd.low_counts_3d(args.n))
-    elif args.toric:
-        cap = args.cap if args.cap is not None else 2 * args.n
-        _emit(bd.toric_predicted_values(args.n, d, cap))
-    else:
-        _emit(sorted(bd.martinov_subset(args.n)))
+    if args.d is not None and claim.d not in (None, args.d):
+        raise ValueError(f"-d {args.d} does not apply: --{claim.flag} lists counts "
+                         f"in RP^{claim.d}")
+    d = claim.d or (3 if args.d is None else args.d)
+    _emit(bd.predicted(args.claim, args.n, d, args.cap)[1])
     return 0
 
 
@@ -262,14 +255,9 @@ def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, default=None)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--first-four", action="store_true",
-                      help="four smallest counts in RP^d (d >= 3, n >= 2d+5)")
-    mode.add_argument("--low-range-3d", action="store_true",
-                      help="all 36 counts up to 12n-60 in RP^3 (n >= 50)")
-    mode.add_argument("--toric", action="store_true",
-                      help="predicted toric spectrum up to --cap")
-    mode.add_argument("--martinov", action="store_true",
-                      help="plane spectrum members up to 4n-12")
+    for name, claim in bd.CLAIMS.items():
+        mode.add_argument(f"--{claim.flag}", dest="claim", action="store_const",
+                          const=name, help=claim.help)
     p.add_argument("--cap", type=int, default=None)
 
 
@@ -293,6 +281,8 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--line-in-union", action="store_true", default=None)
     p.add_argument("--offsets", nargs="*", default=None,
                    help="rational offsets like 1/3 2/3")
+    # argparse takes -7 or -0.5 for a value, not an option; so is -3/5 here
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--expect", action="store_true",
                    help="fail unless the exact count matches the family's formula")

@@ -181,16 +181,6 @@ def echelon_form(rows: Iterable[Sequence[int]]) -> tuple[Vec, ...]:
     return ech
 
 
-def in_rowspace(rows: tuple[Vec, ...], v: Sequence[int]) -> bool:
-    w = list(v)
-    for r in rows:
-        p = _pivot_col(r)
-        if w[p]:
-            c, pv = w[p], r[p]
-            w = [wi * pv - ri * c for wi, ri in zip(w, r)]
-    return not any(w)
-
-
 def rank(matrix: Sequence[Sequence[int]]) -> int:
     """Exact rank over Q by Bareiss's fraction-free forward elimination.
 

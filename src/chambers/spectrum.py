@@ -10,11 +10,11 @@ A mismatch between the prediction and the exact count raises (it would
 mean a generator bug), so every reported value is backed by a verified
 witness.
 
-Reports compare the found set against the package's predicted spectra
-(`chambers.bounds`): `missing_predicted` lists predicted values with no
+Reports compare the found set against the claim their rule names in
+`bounds.CLAIMS`: `missing_predicted` lists predicted values with no
 witness, `unexpected` lists witnessed values at or below the cap that the
 prediction says should not exist.  An unexpected value is the loud failure
-mode: it falsifies either a generator or the spectrum tables.
+mode: it falsifies either a generator or the claims table.
 """
 
 from __future__ import annotations
@@ -218,20 +218,6 @@ class SpectrumReport:
         }
 
 
-def _projective_rule(n: int, d: int, cap: int | None):
-    """The spectrum rule a search at (n, d) is checked against.  Raises
-    OutOfTheoremRangeError outside the rule's range, before anything is built."""
-    if d == 2:
-        name, rule_cap, values = "martinov", 4 * n - 12, sorted(bd.martinov_subset(n))
-    elif d == 3 and n >= 50:
-        name, rule_cap, values = "low_range_3d", bd.low_range_cap_3d(n), bd.low_counts_3d(n)
-    else:
-        name, rule_cap, values = "first_four", bd.first_four_cap(n, d), bd.first_four_counts(n, d)
-    if cap is None:
-        cap = rule_cap
-    return name, cap, [v for v in values if v <= cap], set(values).__contains__
-
-
 def search_projective(n: int, d: int, budget: int | None = None,
                       cap: int | None = None) -> SpectrumReport:
     """Walk the projective catalogue at (n, d) under the cap and compare spectra.
@@ -244,18 +230,15 @@ def search_projective(n: int, d: int, budget: int | None = None,
     """
     if d < 2 or n < d + 2:
         raise ValueError("need d >= 2 and n >= d+2")
-    rule, cap_val, predicted, member = _projective_rule(n, d, cap)
-    report = SpectrumReport("projective", n, d, cap_val, rule)
-    return _fill_report(report, _catalogue(n, d, cap_val), budget, predicted, member)
+    rule = bd.projective_claim(n, d)
+    report = SpectrumReport("projective", n, d, bd.predicted(rule, n, d, cap)[0], rule)
+    return _fill_report(report, _catalogue(n, d, report.cap), budget)
 
 
 def search_toric(n: int, d: int, budget: int | None = None,
                  cap: int | None = None) -> SpectrumReport:
     """Enumerate toric constructions at (n, d) against the predicted spectrum."""
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and d >= 2")
-    if cap is None:
-        cap = 2 * n
+    cap = bd.predicted("toric_spectrum", n, d, cap)[0]
     report = SpectrumReport("toric", n, d, cap, "toric_spectrum")
     recipes: list[Recipe] = []
     for k in range(0, min(d - 1, n - 1) + 1):
@@ -268,14 +251,12 @@ def search_toric(n: int, d: int, budget: int | None = None,
                 continue
             recipes.append(Recipe("toric_b", (n, d, dprime, k), "toric", n, d,
                                   gn.toric_construction_b_count(n, dprime, k)))
-    return _fill_report(report, recipes, budget,
-                        bd.toric_predicted_values(n, d, cap),
-                        lambda f: bd.toric_spectrum_contains(n, d, f))
+    return _fill_report(report, recipes, budget)
 
 
-def _fill_report(report: SpectrumReport, recipes, budget: int | None,
-                 predicted: list[int], member) -> SpectrumReport:
-    """Count one witness per distinct predicted value in [1, cap], then compare.
+def _fill_report(report: SpectrumReport, recipes, budget: int | None) -> SpectrumReport:
+    """Count one witness per distinct predicted value in [1, cap], then compare
+    with the values of the report's rule (`bounds.CLAIMS`) up to the cap.
 
     Recipes predicting outside [1, cap] or predicting an already witnessed
     value are skipped, as are unrealizable placements.
@@ -301,9 +282,9 @@ def _fill_report(report: SpectrumReport, recipes, budget: int | None,
             continue
         report.counted += 1
         report.found[f] = recipe
+    _, predicted = bd.predicted(report.rule, report.n, report.d, report.cap)
     report.missing_predicted = [v for v in predicted if v not in report.found]
-    report.unexpected = sorted(
-        f for f in report.found if f <= report.cap and not member(f))
+    report.unexpected = sorted(set(report.found).difference(predicted))
     return report
 
 

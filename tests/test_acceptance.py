@@ -6,6 +6,7 @@ straight at the failing requirement.
 """
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from chambers import acceptance
 from chambers import bounds as bd
 from chambers import spectrum as sp
 from chambers.acceptance import _catalog_small, battery_exit_code, run_battery
+from chambers.cli import main
 
 
 def untimed(lines):
@@ -92,6 +94,24 @@ def test_criterion_5_fails_when_a_gap_value_is_admitted(monkeypatch):
     assert not result.passed
     assert result.detail == ("n=6,d=2: missing [7]; n=7,d=2: missing [9]; "
                              "n=8,d=2: missing [11]; n=8,d=3: missing [9]")
+
+
+def test_dropping_a_martinov_value_reaches_the_cli_the_search_and_c8(monkeypatch, capsys):
+    # 3n - 5 is realizable (double_pencil(2, n - 2, False)); a table without
+    # it must change every reader of the martinov row, and c8 must fail
+    def readers():
+        assert main(["spectrum", "--martinov", "-n", "10"]) == 0
+        return json.loads(capsys.readouterr().out), sp.search_projective(10, 2).unexpected
+
+    assert readers() == ([18, 24, 25, 28], [])
+    row = bd.CLAIMS["martinov"]
+    monkeypatch.setitem(bd.CLAIMS, "martinov", row._replace(
+        values=lambda n, d, cap: [v for v in row.values(n, d, cap) if v != 3 * n - 5]))
+    assert readers() == ([18, 24, 28], [25])
+    [result] = run_battery(only={8}, echo=lambda line: None)
+    assert not result.passed
+    assert result.detail.startswith("n=7: counted [12, 15, 16], predicted [12, 15]; "
+                                    "n=8: counted [14, 18, 19, 20], predicted [14, 18, 20]")
 
 
 def test_criterion_6_bound_invariants(battery):

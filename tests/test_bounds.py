@@ -115,7 +115,8 @@ class TestFirstFourCounts:
         assert all(v > mc for v in values[1:])
 
     def test_cap_is_fourth_value(self):
-        assert bd.first_four_cap(11, 3) == bd.first_four_counts(11, 3)[3]
+        assert bd.predicted("first_four", 11, 3) == (56, bd.first_four_counts(11, 3))
+        assert bd.CLAIMS["first_four"].cap(11, 3) == bd.first_four_counts(11, 3)[3]
 
 
 class TestLowCounts3d:
@@ -182,4 +183,58 @@ class TestToricSpectrum:
         assert not bd.toric_spectrum_contains(7, 3, 4)
 
     def test_predicted_values(self):
-        assert bd.toric_predicted_values(4, 2, 12) == [3] + list(range(4, 13))
+        assert bd.predicted("toric_spectrum", 4, 2, 12) == (12, [3] + list(range(4, 13)))
+
+
+def hand_written_rule(n, d):
+    """The rule a projective search is checked against, written out as an if
+    chain, or None where the search refuses: RP^2 by Martinov, RP^3 from
+    n = 50 by the 36 values, the four smallest counts elsewhere."""
+    if d == 2:
+        return "martinov" if n >= 7 else None
+    if d == 3 and n >= 50:
+        return "low_range_3d"
+    return "first_four" if n >= 2 * d + 5 else None
+
+
+class TestClaims:
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_projective_claim_is_the_hand_written_rule(self, d):
+        for n in range(d + 2, 61):
+            want = hand_written_rule(n, d)
+            if want is None:
+                with pytest.raises(bd.OutOfTheoremRangeError,
+                                   match=rf"^\(n, d\) = \({n}, {d}\) outside d = 2, n >= 7; "):
+                    bd.projective_claim(n, d)
+            else:
+                assert bd.projective_claim(n, d) == want
+
+    @pytest.mark.parametrize("name, points", [
+        ("first_four", [(11, 3), (20, 3), (13, 4), (15, 5), (21, 8)]),
+        ("low_range_3d", [(50, 3), (51, 3), (80, 3)]),
+        ("martinov", [(7, 2), (8, 2), (30, 2)]),
+        ("toric_spectrum", [(2, 2), (4, 2), (7, 3), (3, 5)]),
+    ])
+    def test_default_cap_is_the_last_value(self, name, points):
+        for n, d in points:
+            cap, values = bd.predicted(name, n, d)
+            assert cap == bd.CLAIMS[name].cap(n, d) == values[-1]
+            assert bd.predicted(name, n, d, cap - 1) == (cap - 1, values[:-1])
+
+    @pytest.mark.parametrize("name, n, d", [
+        ("first_four", 10, 3), ("first_four", 20, 2), ("low_range_3d", 49, 3),
+        ("low_range_3d", 60, 4), ("martinov", 6, 2), ("martinov", 9, 3),
+        ("toric_spectrum", 1, 2), ("toric_spectrum", 4, 1),
+    ])
+    def test_out_of_range_names_the_range(self, name, n, d):
+        message = f"(n, d) = ({n}, {d}) outside {bd.CLAIMS[name].range}"
+        with pytest.raises(bd.OutOfTheoremRangeError) as info:
+            bd.predicted(name, n, d)
+        assert str(info.value) == message
+
+    def test_values_that_do_not_increase_are_an_internal_error(self, monkeypatch):
+        row = bd.CLAIMS["first_four"]
+        monkeypatch.setitem(bd.CLAIMS, "first_four", row._replace(
+            values=lambda n, d, cap: row.values(n, d, cap)[::-1]))
+        with pytest.raises(RuntimeError, match="first_four values not increasing"):
+            bd.predicted("first_four", 11, 3)

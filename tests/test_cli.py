@@ -259,6 +259,16 @@ class TestGen:
         arr = ToricArrangement.from_json(json.loads(out_path.read_text()))
         assert arr.n == 4
 
+    def test_negative_offset_is_a_value(self, capsys, tmp_path):
+        # -3/5 is 2/5 mod 1, so both offset lists give the same arrangement
+        files = []
+        for offsets in (["1/7", "-3/5"], ["1/7", "2/5"]):
+            files.append(tmp_path / f"b{len(files)}.json")
+            code, _ = run(capsys, "gen", "toric-b", "-n", "4", "-d", "2", "-k", "3",
+                          "--offsets", *offsets, "-o", str(files[-1]), "--expect")
+            assert code == 0
+        assert files[0].read_text() == files[1].read_text()
+
     def test_gen_to_stdout(self, capsys):
         code, out = run(capsys, "gen", "near-pencil", "-n", "6")
         assert code == 0

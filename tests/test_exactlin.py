@@ -70,8 +70,8 @@ class TestEchelon:
     def test_insert_detects_span_membership(self):
         ech = ex.echelon_form([(1, 0, 1), (0, 1, 1)])
         assert ex.echelon_insert(ech, (2, 3, 5)) is None
-        assert ex.in_rowspace(ech, (1, -1, 0))
-        assert not ex.in_rowspace(ech, (0, 0, 1))
+        assert ex.echelon_insert(ech, (1, -1, 0)) is None
+        assert ex.echelon_insert(ech, (0, 0, 1)) is not None
 
 
 class TestRationalStrings:

@@ -99,10 +99,12 @@ def test_detects_an_unreferenced_name():
     assert sorted(set(class_member_names(source)) - refs) == ["h"]
 
 
-def unreferenced(defined) -> list[str]:
-    refs = set().union(*(referenced_names(p.read_text()) for p in REFERRERS))
-    return [f"{p.name}:{line}: {name}" for p in SOURCES
-            for name, line in defined(p.read_text()).items() if name not in refs]
+def unreferenced(defined, referrers=REFERRERS) -> list[str]:
+    """'file: name' for each name `defined` finds in the package's sources
+    that no file of `referrers` reads."""
+    refs = set().union(*(referenced_names(p.read_text()) for p in referrers))
+    return [f"{p.name}: {name}" for p in SOURCES
+            for name in defined(p.read_text()) if name not in refs]
 
 
 def test_every_module_level_name_is_referenced():
@@ -111,3 +113,25 @@ def test_every_module_level_name_is_referenced():
 
 def test_every_class_member_is_referenced():
     assert unreferenced(class_member_names) == []
+
+
+# Names in src/ that only tests read, each with the reason it stays.
+READ_BY_TESTS_ONLY = {
+    "bounds.py: sphere": "the Manifold table states the paper's homological bound "
+                         "for every kind it covers, not only RP^d and T^d",
+    "bounds.py: orientable_surface": "the Manifold table, as sphere",
+    "bounds.py: klein_bottle": "the Manifold table, as sphere",
+    "bounds.py: coefficient_group": "the Manifold table, as sphere",
+    "projective.py: evaluate_poly": "serves the intersection poset, the tests' reference "
+                                    "engine, and goes with it",
+    "projective.py: level_sizes": "the intersection poset's, as evaluate_poly",
+    "projective.py: delete": "the oracle tests delete a hyperplane with it; reviewed "
+                             "when the poset goes",
+    "toric.py: load_toric": "pairs with dump_toric, which `chambers gen` writes",
+}
+
+
+def test_no_name_is_read_by_tests_alone():
+    package = [p for p in REFERRERS if p.relative_to(ROOT).parts[0] != "tests"]
+    found = unreferenced(module_level_names, package) + unreferenced(class_member_names, package)
+    assert sorted(found) == sorted(READ_BY_TESTS_ONLY)

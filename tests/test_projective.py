@@ -123,8 +123,8 @@ class TestPoset:
             if f.rank == 0:
                 continue
             for i, u in enumerate(arr.covectors):
-                from chambers.exactlin import in_rowspace
-                assert (i in f.incident) == in_rowspace(f.echelon, u)
+                from chambers.exactlin import echelon_insert
+                assert (i in f.incident) == (echelon_insert(f.echelon, u) is None)
 
     def test_intersection_closed(self):
         arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)))

@@ -8,6 +8,7 @@ import pytest
 from chambers import bounds as bd
 from chambers import generators as gn
 from chambers import spectrum as sp
+from chambers.oracle import count_regions_oracle
 from chambers.projective import count_regions_projective
 from chambers.toric import count_regions_toric
 
@@ -61,7 +62,7 @@ class TestSearchProjective:
 def test_lazy_catalogue_is_the_catalogue_under_the_cap(n, d):
     whole = sp.projective_recipes(n, d)
     assert list(sp._catalogue(n, d, None)) == list(whole)
-    rule_cap = sp._projective_rule(n, d, None)[1]
+    rule_cap, _ = bd.predicted(bd.projective_claim(n, d), n, d)
     for cap in (0, 2 * n, 4 * n, 6 * n, rule_cap // 2, rule_cap - 1, rule_cap, 20 * n):
         assert list(sp._catalogue(n, d, cap)) == [r for r in whole if r.expected_f <= cap]
 
@@ -247,3 +248,33 @@ class TestReportSerialization:
         assert data["cap"] == 56
         assert set(map(int, data["found"])) == set(rep.found)
         assert data["unexpected"] == []
+
+
+# Realizable counts below the first-four range: at each n = d + 4..d + 7 one
+# arrangement counts strictly between the third and the fourth value, so that
+# claim cannot reach down to these n.  Each d = 3 witness is coned once more
+# per dimension, which doubles its count.
+SUB_THRESHOLD_WITNESSES = {  # n - d: (d = 3 witness, its count)
+    4: (lambda: gn.two_extra_planes(gn.double_pencil(3, 3, True), line_in_union=True), 27),
+    5: (lambda: gn.cone(gn.pencil_with_extras(4, ("fresh", "fresh", "cross2"))), 34),
+    6: (lambda: gn.cone(gn.double_pencil(4, 5, True)), 40),
+    7: (lambda: gn.cone(gn.double_pencil(4, 6, True)), 48),
+}
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+@pytest.mark.parametrize("excess", SUB_THRESHOLD_WITNESSES)
+def test_sub_threshold_witness(excess, d):
+    witness, f = SUB_THRESHOLD_WITNESSES[excess]
+    arr = witness()
+    for _ in range(d - 3):
+        arr = gn.cone(arr)
+    n, want = d + excess, f * 2 ** (d - 3)
+    assert (arr.n, arr.d) == (n, d)
+    assert count_regions_projective(arr) == count_regions_oracle(arr) == want
+    claim = bd.CLAIMS["first_four"]
+    assert not claim.in_range(n, d)
+    values = claim.values(n, d, claim.cap(n, d))
+    assert values[2] < want < values[3]
+    with pytest.raises(bd.OutOfTheoremRangeError):
+        bd.projective_claim(n, d)
