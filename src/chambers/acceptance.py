@@ -74,7 +74,7 @@ class CriterionResult:
 def _catalog_small() -> list:
     """Deterministic generator catalogue at n <= 12 for the oracle cross-check."""
     recipes = []
-    for n in (5, 7, 9):
+    for n in (5, 6, 7, 9):
         recipes.extend(sp.plane_recipes(n)[:14])
     for n, d in ((7, 3), (9, 3), (11, 3), (10, 4), (12, 4)):
         seen = set()

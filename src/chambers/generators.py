@@ -18,8 +18,8 @@ Projective families (all exact integer covectors):
 * double_pencil: a lines through one point, b through another, optionally
   sharing the connecting line; the classic low-count plane families.
 * pencil_with_extras: a pencil of q lines plus up to five extra lines, each
-  placed through anchors that save what its action names, walking the low
-  plane spectrum.
+  placed through anchors that save what its action names; `PENCIL_PROGRAMS`
+  holds one program per total saving, as in Martinov's plane spectrum.
 * cone: lift of a base arrangement with every hyperplane through a common
   apex, plus extra hyperplanes missing the apex.  One extra doubles the
   base count.
@@ -277,22 +277,23 @@ def pencil_extras_savings(program: Sequence[str]) -> list[int] | None:
     return savings
 
 
-def _feasible_programs(max_extras: int) -> tuple[tuple[tuple[tuple[str, ...], int], ...], ...]:
-    """(program, total saving) of every feasible program, indexed by length.
-
-    `pencil_extras_savings` refuses a program at its first infeasible action,
-    so only feasible prefixes need extending, and extending them in action
-    order keeps the order of `itertools.product(PENCIL_ACTIONS, repeat=k)`.
-    """
-    table = [(((), 0),)]
+def _programs_by_saving(max_extras: int) -> tuple[tuple[tuple[tuple[str, ...], int], ...], ...]:
+    """Indexed by k, (program, S) for S = 0, 1, ...: the first feasible program
+    of k actions saving S in `itertools.product(PENCIL_ACTIONS, repeat=k)`
+    order, which extending the feasible prefixes in action order keeps."""
+    feasible = [((), 0)]
+    table = [tuple(feasible)]
     for _ in range(max_extras):
-        table.append(tuple((p + (a,), sum(s)) for p, _ in table[-1] for a in PENCIL_ACTIONS
-                           if (s := pencil_extras_savings(p + (a,))) is not None))
+        feasible = [(p + (a,), sum(s)) for p, _ in feasible for a in PENCIL_ACTIONS
+                    if (s := pencil_extras_savings(p + (a,))) is not None]
+        first = {s: p for p, s in reversed(feasible)}  # each saving's first
+        table.append(tuple((first[s], s) for s in sorted(first)))
     return tuple(table)
 
 
-# a program's saving S gives its count at q as in pencil_with_extras_count
-PENCIL_PROGRAMS = _feasible_programs(5)
+# Martinov's pencil of q lines plus k extras: one program per saving
+# S = 0..C(k, 2), whose count at q is pencil_with_extras_count(q, k, S)
+PENCIL_PROGRAMS = _programs_by_saving(5)
 
 
 def pencil_with_extras_count(q: int, k: int, saving: int) -> int:

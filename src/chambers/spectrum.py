@@ -52,10 +52,11 @@ def _catalogue(n: int, d: int, cap: int | None):
     """Yield the (n, d) catalogue in its fixed order, leaving out every recipe
     that predicts above `cap` before building it; `cap=None` yields them all.
 
-    In RP^2: double pencils, then every feasible pencil program, then general
-    position.  Above it: cones over the (n-1, d-1) catalogue, in RP^3 the two-
-    and three-extra planes over plane bases, then general position.  Several
-    recipes may predict the same count; the later ones are the fallbacks
+    In RP^2: double pencils, a pencil of q = n - k lines with k extras, one
+    program per saving S <= q (Martinov's cap), then general position; every
+    plane recipe builds.  Above it: cones over the (n-1, d-1) catalogue, in
+    RP^3 two- and three-extra planes over plane bases, then general position.
+    Several RP^3 recipes may predict one count; the later ones are fallbacks
     `_fill_report` tries when an earlier one raises PlacementError.
 
     Each sub-catalogue is walked under the cap its bases must meet.  A cone
@@ -72,23 +73,17 @@ def _catalogue(n: int, d: int, cap: int | None):
     if d == 2:
         if n < 3:
             return
-        for a in range(2, n):
-            b = n + 1 - a
-            if b < a:
-                break
-            f = gn.double_pencil_count(a, b, True)
-            if fits(f):
-                yield Recipe("double_pencil", (a, b, True), "projective", n, 2, f)
-        for a in range(2, n):
-            b = n - a
-            if b < a:
-                break
-            f = gn.double_pencil_count(a, b, False)
-            if fits(f):
-                yield Recipe("double_pencil", (a, b, False), "projective", n, 2, f)
+        for common in (True, False):
+            for a in range(2, (n + common) // 2 + 1):
+                b = n + common - a
+                f = gn.double_pencil_count(a, b, common)
+                if fits(f):
+                    yield Recipe("double_pencil", (a, b, common), "projective", n, 2, f)
         for k, programs in enumerate(gn.PENCIL_PROGRAMS[1:n - 1], start=1):
             q = n - k
             for program, saving in programs:
+                if saving > q:
+                    break
                 f = gn.pencil_with_extras_count(q, k, saving)
                 if fits(f):
                     yield Recipe("pencil_extras", (q, program), "projective", n, 2, f)
@@ -130,7 +125,7 @@ def _catalogue(n: int, d: int, cap: int | None):
 
 @lru_cache(maxsize=None)
 def plane_recipes(n: int) -> tuple[Recipe, ...]:
-    """The whole plane catalogue at n lines, every feasible program kept."""
+    """The whole plane catalogue at n lines, one pencil program per saving."""
     return tuple(_catalogue(n, 2, None))
 
 
@@ -237,21 +232,23 @@ def search_projective(n: int, d: int, budget: int | None = None,
 
 def search_toric(n: int, d: int, budget: int | None = None,
                  cap: int | None = None) -> SpectrumReport:
-    """Enumerate toric constructions at (n, d) against the predicted spectrum."""
+    """Walk `_toric_catalogue` lazily under the cap against the spectrum."""
     cap = bd.predicted("toric_spectrum", n, d, cap)[0]
     report = SpectrumReport("toric", n, d, cap, "toric_spectrum")
-    recipes: list[Recipe] = []
+    return _fill_report(report, _toric_catalogue(n, d, cap), budget)
+
+
+def _toric_catalogue(n: int, d: int, cap: int):
+    """Yield the toric recipes at (n, d) that predict at most `cap`:
+    construction A for each k, then construction B for each d' and slope k,
+    whose prediction 2(n - d') + k bounds k by cap - 2(n - d')."""
     for k in range(0, min(d - 1, n - 1) + 1):
-        recipes.append(Recipe("toric_a", (n, d, k), "toric", n, d, n - k))
-    for dprime in range(2, d + 1):
-        if n < dprime:
-            continue
-        for k in range(0, cap + 1):
-            if n == dprime and k == 0:
-                continue
-            recipes.append(Recipe("toric_b", (n, d, dprime, k), "toric", n, d,
-                                  gn.toric_construction_b_count(n, dprime, k)))
-    return _fill_report(report, recipes, budget)
+        if n - k <= cap:
+            yield Recipe("toric_a", (n, d, k), "toric", n, d, n - k)
+    for dprime in range(2, min(d, n) + 1):
+        for k in range(int(n == dprime), cap - 2 * (n - dprime) + 1):
+            yield Recipe("toric_b", (n, d, dprime, k), "toric", n, d,
+                         gn.toric_construction_b_count(n, dprime, k))
 
 
 def _fill_report(report: SpectrumReport, recipes, budget: int | None) -> SpectrumReport:

@@ -35,8 +35,8 @@ def test_projective_counts(no_fractions):
 # an intended one updates it and names the recipes whose outcome changed.
 # The per-family tally of built recipes, checked first, names the family
 # whose outcomes moved.
-RECIPE_OUTCOMES_10_3 = "94003bd63c063793ce927dab1518e5b5805663fd558c04f61eabeadcf9af5112"
-BUILT_10_3 = {"cone": 437, "two_extra": 2183, "three_extra": 12, "general_position": 1}
+RECIPE_OUTCOMES_10_3 = "fe7c5fc094225f4cba9f992bcd5f58eeb643cb1015e1b7709dcfda0e99ad857f"
+BUILT_10_3 = {"cone": 26, "two_extra": 125, "three_extra": 12, "general_position": 1}
 
 
 def test_every_recipe_builds(no_fractions):

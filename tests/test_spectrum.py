@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import json
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -96,25 +98,83 @@ def test_budgeted_search_builds_no_whole_catalogue(monkeypatch):
     assert report.counted == 2
 
 
+@functools.cache
+def first_program_per_saving(k):
+    """The first feasible program of each total saving, enumerated by
+    itertools.product as before the table: {saving: program}."""
+    first = {}
+    for program in itertools.product(gn.PENCIL_ACTIONS, repeat=k):
+        savings = gn.pencil_extras_savings(program)
+        if savings is not None:
+            first.setdefault(sum(savings), program)
+    return first
+
+
 @pytest.mark.parametrize("n", range(3, 30))
 def test_plane_catalogue_reads_every_feasible_program(n):
-    # the enumeration of every program by itertools.product, as before the table
+    # the table holds, in increasing saving S = 0..C(k, 2), the first feasible
+    # program of each S; the catalogue reads those with S <= q = n - k
     want = []
     for k in range(1, min(5, n - 2) + 1):
-        for program in itertools.product(gn.PENCIL_ACTIONS, repeat=k):
-            savings = gn.pencil_extras_savings(program)
-            if savings is not None:
-                want.append(((n - k, program), gn.pencil_with_extras_count(n - k, k, sum(savings))))
+        first = first_program_per_saving(k)
+        assert sorted(first) == list(range(comb(k, 2) + 1))
+        assert gn.PENCIL_PROGRAMS[k] == tuple((first[s], s) for s in sorted(first))
+        want += [((n - k, first[s]), gn.pencil_with_extras_count(n - k, k, s))
+                 for s in sorted(first) if s <= n - k]
     got = [(r.params, r.expected_f) for r in sp.plane_recipes(n) if r.family == "pencil_extras"]
     assert got == want
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_every_plane_recipe_builds_within_martinovs_saving_cap(n):
+    for recipe in sp._catalogue(n, 2, None):
+        sp.build_recipe(recipe)
+        if recipe.family == "pencil_extras":
+            q, program = recipe.params
+            saving = sum(gn.pencil_extras_savings(program))
+            assert saving <= min(q, comb(len(program), 2)), recipe.describe()
+
+
+# the values that some recipe of _catalogue(n, d, None) builds, as they were
+# when the plane catalogue still held every feasible pencil program
+BUILT_VALUES = {
+    (5, 2): [*range(8, 12)],
+    (6, 2): [10, *range(12, 17)],
+    (7, 2): [12, *range(15, 23)],
+    (8, 2): [14, *range(18, 30)],
+    (9, 2): [16, 21, 22, *range(24, 35), 37],
+    (10, 2): [18, 24, 25, *range(28, 41), 46],
+    (11, 2): [20, 27, 28, *range(32, 47), 56],
+    (12, 2): [22, 30, 31, *range(36, 53), 67],
+    (5, 3): [12, 14, 15],
+    (6, 3): [16, 18, *range(20, 27)],
+    (7, 3): [20, 24, *range(26, 39), 42],
+    (8, 3): [24, 30, 32, 34, 35, 36, *range(38, 55), 64],
+    (9, 3): [28, 36, 38, 40, *range(42, 47), 48, *range(50, 74), 93],
+    (10, 3): [32, 42, 44, 48, 49, 50, 52, 54, *range(56, 96), 130],
+}
+
+
+@pytest.mark.parametrize("n, d", list(BUILT_VALUES))
+def test_catalogue_builds_the_values_it_built_with_every_program(n, d):
+    built = set()
+    for recipe in sp._catalogue(n, d, None):
+        if recipe.expected_f in built:
+            continue
+        try:
+            sp.build_recipe(recipe)
+        except gn.PlacementError:
+            continue
+        built.add(recipe.expected_f)
+    assert sorted(built) == BUILT_VALUES[n, d]
 
 
 # sha256 over the outcome of every recipe of projective_recipes(9, 3), in the
 # format of test_integer_boundary.RECIPE_OUTCOMES_10_3.  It covers the
 # pencil_extras(2, ...) bases, whose cross1 and cross2 lines pass through the
 # pencil's apex: with q = 2 the apex is a double point and can be an anchor.
-RECIPE_OUTCOMES_9_3 = "e8992cc582b552982d186f31b910ca44a0c02ee49dc26949be5c1e0b8101ee0f"
-BUILT_9_3 = {"cone": 421, "two_extra": 1467, "three_extra": 12, "general_position": 1}
+RECIPE_OUTCOMES_9_3 = "f92e3f0d847957e6e3820cc0040cfc8fdfe6dbeb2f0e686334f1a23c4cbb1a2a"
+BUILT_9_3 = {"cone": 23, "two_extra": 100, "three_extra": 12, "general_position": 1}
 
 
 def test_every_built_recipe_counts_as_predicted():
@@ -179,6 +239,24 @@ def test_toric_search_report_is_pinned(n, d, cap, budget):
     report = sp.search_toric(n, d, budget=budget, cap=cap).to_json()
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == TORIC_REPORTS[n, d, cap, budget]
+
+
+def test_toric_search_makes_no_recipe_above_its_cap_or_past_its_budget(monkeypatch):
+    made = []
+
+    def record(*args):
+        made.append(gn.Recipe(*args))
+        return made[-1]
+
+    monkeypatch.setattr(sp, "Recipe", record)
+    sp.search_toric(5, 3, cap=10)
+    assert made and max(r.expected_f for r in made) <= 10
+    made.clear()
+    report = sp.search_toric(4, 4, budget=1, cap=200_000)
+    assert report.partial and report.counted == 1
+    # the walk stops at the first recipe, toric_a(4, 4, 1), that the spent
+    # budget cannot count
+    assert [r.describe() for r in made] == ["toric_a(4, 4, 0)", "toric_a(4, 4, 1)"]
 
 
 @pytest.mark.parametrize("search, n, d", [(sp.search_projective, 11, 3),
