@@ -102,12 +102,7 @@ def _oracle_equivalence(registry, seed):
             problems.append(f"random[{i}]: {fz} vs {fo}")
     checked = len(randoms)
     for recipe in _catalog_small():
-        try:
-            arr = sp.build_recipe(recipe)
-        except gn.PlacementError:
-            continue
-        if arr.n > 12:
-            continue
+        arr = sp.build_recipe(recipe)
         fz = count_regions_projective(arr)
         fo = count_regions_oracle(arr)
         registry.append((arr, fz))

@@ -38,7 +38,7 @@ from .toric import ToricArrangement, count_regions_toric
 
 
 class RecipeMismatchError(RuntimeError):
-    """A generator's exact count disagreed with its predicted count."""
+    """A catalogue recipe did not build or did not count as it predicted."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +52,12 @@ def _catalogue(n: int, d: int, cap: int | None):
     """Yield the (n, d) catalogue in its fixed order, leaving out every recipe
     that predicts above `cap` before building it; `cap=None` yields them all.
 
-    In RP^2: double pencils, a pencil of q = n - k lines with k extras, one
-    program per saving S <= q (Martinov's cap), then general position; every
-    plane recipe builds.  Above it: cones over the (n-1, d-1) catalogue, in
-    RP^3 two- and three-extra planes over plane bases, then general position.
-    Several RP^3 recipes may predict one count; the later ones are fallbacks
-    `_fill_report` tries when an earlier one raises PlacementError.
+    Every recipe builds, and none exists for n <= d, where RP^d has no
+    essential arrangement.  In RP^2: double pencils, a pencil of q = n - k
+    lines with k extras, one program per saving S <= q (Martinov's cap), then
+    general position.  Above it: cones over the (n-1, d-1) catalogue, in RP^3
+    two- and three-extra planes over plane bases, then general position.  A
+    two-extra mode c is kept only where the base has an anchor set saving c.
 
     Each sub-catalogue is walked under the cap its bases must meet.  A cone
     predicts 2φ, so its bases are walked under cap // 2.  A two-extra recipe
@@ -70,9 +70,9 @@ def _catalogue(n: int, d: int, cap: int | None):
     def base_cap(factor: int) -> int | None:
         return None if cap is None else cap // factor
 
+    if n <= d:
+        return
     if d == 2:
-        if n < 3:
-            return
         for common in (True, False):
             for a in range(2, (n + common) // 2 + 1):
                 b = n + common - a
@@ -103,11 +103,14 @@ def _catalogue(n: int, d: int, cap: int | None):
                 elif base.family == "pencil_extras":
                     q = base.params[0]
                     modes.update((q - 1, q))
-                for c in sorted(modes):
-                    f = gn.two_extra_planes_count(phi, n2, coincidences=c)
-                    if fits(f):
-                        yield Recipe("two_extra", (base, "coincidences", c),
-                                     "projective", n, d, f)
+                fitting = [(c, f) for c in sorted(modes)
+                           if fits(f := gn.two_extra_planes_count(phi, n2, coincidences=c))]
+                if fitting:
+                    builder = gn._PlaneBuilder(build_recipe(base).covectors)
+                    for c, f in fitting:
+                        if next(builder.anchor_sets(c), None) is not None:
+                            yield Recipe("two_extra", (base, "coincidences", c),
+                                         "projective", n, d, f)
             if n - 3 >= 3:
                 n2 = n - 3
                 phi = gn.double_pencil_count(2, n2 - 1, True)
@@ -115,7 +118,8 @@ def _catalogue(n: int, d: int, cap: int | None):
                               n2, 2, phi)
                 for s2, s3, s23 in itertools.product((0, 1), (0, 1), (0, 1, 2)):
                     f = gn.three_extra_planes_count(phi, n2, s2, s3, s23)
-                    if fits(f):
+                    # near_pencil(n2) takes a pair-anchored omega only if s2 + s3 + 2 < n2
+                    if fits(f) and (s23 < 2 or s2 + s3 + s23 < n2):
                         yield Recipe("three_extra", (base, s2, s3, s23),
                                      "projective", n, d, f)
     f = gn.general_position_count(n, d)
@@ -138,35 +142,38 @@ def projective_recipes(n: int, d: int) -> tuple[Recipe, ...]:
 
 
 def build_recipe(recipe: Recipe):
-    """Construct the arrangement a recipe names.  Raises PlacementError when
-    the incidence pattern is not realizable."""
+    """Construct the arrangement a recipe names.  Every catalogue recipe builds,
+    so a builder's ValueError, such as PlacementError, raises RecipeMismatchError."""
     family = recipe.family
-    if family == "general_position":
-        return gn.general_position(*recipe.params)
-    if family == "double_pencil":
-        return gn.double_pencil(*recipe.params)
-    if family == "pencil_extras":
-        return gn.pencil_with_extras(*recipe.params)
-    if family == "cone":
-        return gn.cone(build_recipe(recipe.params[0]), extras=1)
-    if family == "two_extra":
-        base, mode, value = recipe.params
-        if mode == "line_in_union":
-            return gn.two_extra_planes(build_recipe(base), line_in_union=True)
-        return gn.two_extra_planes(build_recipe(base), coincidences=value)
-    if family == "three_extra":
-        base, s2, s3, s23 = recipe.params
-        return gn.three_extra_planes(build_recipe(base), s2, s3, s23)
-    if family == "toric_a":
-        return gn.toric_construction_a(*recipe.params)
-    if family == "toric_b":
-        n, d, dprime, k = recipe.params
-        arr = gn.toric_construction_b(n, dprime, k)
-        if dprime == d:
-            return arr
-        pad = (0,) * (d - dprime)
-        return ToricArrangement(d, tuple((a + pad, num, den) for a, num, den in arr.subtori))
-    raise ValueError(f"unknown recipe family {family!r}")
+    try:
+        if family == "general_position":
+            return gn.general_position(*recipe.params)
+        if family == "double_pencil":
+            return gn.double_pencil(*recipe.params)
+        if family == "pencil_extras":
+            return gn.pencil_with_extras(*recipe.params)
+        if family == "cone":
+            return gn.cone(build_recipe(recipe.params[0]), extras=1)
+        if family == "two_extra":
+            base, mode, value = recipe.params
+            if mode == "line_in_union":
+                return gn.two_extra_planes(build_recipe(base), line_in_union=True)
+            return gn.two_extra_planes(build_recipe(base), coincidences=value)
+        if family == "three_extra":
+            base, s2, s3, s23 = recipe.params
+            return gn.three_extra_planes(build_recipe(base), s2, s3, s23)
+        if family == "toric_a":
+            return gn.toric_construction_a(*recipe.params)
+        if family == "toric_b":
+            n, d, dprime, k = recipe.params
+            arr = gn.toric_construction_b(n, dprime, k)
+            if dprime == d:
+                return arr
+            pad = (0,) * (d - dprime)
+            return ToricArrangement(d, tuple((a + pad, num, den) for a, num, den in arr.subtori))
+        raise ValueError(f"unknown recipe family {family!r}")
+    except ValueError as exc:
+        raise RecipeMismatchError(f"{recipe.describe()} did not build: {exc}") from exc
 
 
 def count_recipe(recipe: Recipe) -> int:
@@ -256,7 +263,7 @@ def _fill_report(report: SpectrumReport, recipes, budget: int | None) -> Spectru
     with the values of the report's rule (`bounds.CLAIMS`) up to the cap.
 
     Recipes predicting outside [1, cap] or predicting an already witnessed
-    value are skipped, as are unrealizable placements.
+    value are skipped.
     `budget` caps the number of exact counts; hitting it flags the report as
     partial.  A cap below 1, under which nothing could be checked, and a
     negative budget raise ValueError before anything is counted.
@@ -273,10 +280,7 @@ def _fill_report(report: SpectrumReport, recipes, budget: int | None) -> Spectru
         if budget is not None and report.counted >= budget:
             report.partial = True
             break
-        try:
-            f = count_recipe(recipe)
-        except gn.PlacementError:
-            continue
+        f = count_recipe(recipe)
         report.counted += 1
         report.found[f] = recipe
     _, predicted = bd.predicted(report.rule, report.n, report.d, report.cap)

@@ -40,7 +40,7 @@ def _get(battery, number, required=True):
 
 # sha256 over the describe() strings of c1's catalogue, one per line, as
 # taken from the whole catalogues.
-CATALOG_SMALL = "07d4903c66e0153bf99672ee96a9eab7611f1c358168b0c0f9af4774e318a112"
+CATALOG_SMALL = "9f121a130ed15be7f422cc1d2395ad5da3612bc21529f3a4254c598dfebbcfb7"
 
 
 def test_c1_catalogue_stops_early_and_is_unchanged(monkeypatch):
@@ -135,7 +135,7 @@ def test_exit_code_contract(battery):
 
 # sha256 of the full battery's printed lines, joined by newlines, each
 # without its trailing "(x.xs)" timing.
-BATTERY_LINES = "9bd7cd91a209e3b97db7f6043b6346db376ef5d209d576880d720cc40772d249"
+BATTERY_LINES = "209e2460d143b0c342c87089d6fb3e9e7222508134c5823b85efcc161e1b806f"
 
 
 def test_printed_lines_are_pinned(printed):

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from chambers import cli
+from chambers import generators as gn
+from chambers import spectrum as sp
 from chambers.cli import main
 from chambers.projective import ProjArrangement, dump_arrangement
 from chambers.toric import ToricArrangement, dump_toric
@@ -407,6 +409,25 @@ class TestSearch:
         report = json.loads(out)
         assert sorted(map(int, report["found"])) == [1792, 2496, 2560, 2912]
         assert report["missing_predicted"] == report["unexpected"] == []
+
+    @pytest.mark.parametrize("argv, witness", [
+        (["search", "-n", "11", "-d", "3"], "cone(double_pencil(2, 9, True))"),
+        (["verify-acceptance", "--only", "1"], "cone(double_pencil(2, 5, True))"),
+    ], ids=["search", "verify-acceptance"])
+    def test_catalogue_recipe_that_does_not_build_is_internal_error(
+            self, capsys, monkeypatch, argv, witness):
+        # every witness of (11, 3) is a cone, and so are some of c1's recipes;
+        # a direct `gen` keeps its exit 2 (test_unplaceable_coincidences_name_their_count)
+        def broken(base, extras=1):
+            raise gn.PlacementError("no apex")
+
+        monkeypatch.setattr(gn, "cone", broken)
+        monkeypatch.setattr(sp, "random_arrangements", lambda count, seed: [])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"internal error: {witness} did not build: no apex\n"
 
     def test_plane_below_martinov_range_is_usage_error(self, capsys):
         code = main(["search", "--space", "projective", "-n", "6", "-d", "2"])

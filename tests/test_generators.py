@@ -267,10 +267,7 @@ class TestThreeExtraPlanes:
         for recipe in sp.projective_recipes(10, 3):
             if recipe.family != "three_extra":
                 continue
-            try:
-                sp.build_recipe(recipe)
-            except gn.PlacementError:
-                continue
+            sp.build_recipe(recipe)
             built += 1
         assert built > 0
 
@@ -320,10 +317,7 @@ class TestAnchorWalk:
         monkeypatch.setattr(gn._PlaneBuilder, "lines_through", record_scan)
         recipes = [r for n in range(8, 13) for r in sp.plane_recipes(n)]
         for recipe in recipes + list(sp.projective_recipes(10, 3)):
-            try:
-                sp.build_recipe(recipe)
-            except gn.PlacementError:
-                pass
+            sp.build_recipe(recipe)
         assert last
         assert wrong == []
 

@@ -135,3 +135,28 @@ def test_no_name_is_read_by_tests_alone():
     package = [p for p in REFERRERS if p.relative_to(ROOT).parts[0] != "tests"]
     found = unreferenced(module_level_names, package) + unreferenced(class_member_names, package)
     assert sorted(found) == sorted(READ_BY_TESTS_ONLY)
+
+
+def except_clauses_naming(source: str, name: str) -> list[int]:
+    """Lines of the `except` clauses whose caught types name `name`, bare, as
+    an attribute or in a tuple."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(isinstance(n, ast.Name) and n.id == name
+                    or isinstance(n, ast.Attribute) and n.attr == name
+                    for n in ast.walk(node.type))]
+
+
+def test_detects_an_except_clause_naming_a_class():
+    source = ("try:\n    f()\nexcept gn.PlacementError:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, PlacementError) as exc:\n    pass\n"
+              "try:\n    f()\nexcept ValueError:\n    pass\nexcept:\n    pass\n")
+    assert except_clauses_naming(source, "PlacementError") == [3, 7]
+
+
+# Every catalogue recipe builds, so the searches and the battery never catch
+# a PlacementError: `spectrum.build_recipe` turns one into an internal error.
+@pytest.mark.parametrize("name", ["spectrum.py", "acceptance.py"])
+def test_no_placement_error_is_caught(name):
+    source = (ROOT / "src" / "chambers" / name).read_text()
+    assert except_clauses_naming(source, "PlacementError") == []
