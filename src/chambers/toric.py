@@ -48,9 +48,9 @@ uniform grid, joins axis neighbours not separated by a subtorus, and
 reports the component count once two successive refinements agree.  Its
 stable answer can be wrong: on the T^2 circles {(1,-2), 0}, {(1,1), 3/4},
 {(1,-1), 0}, {(1,-2), 3/4}, {(1,2), 0} it gives 22, and the exact count is
-20.  The grid is the only code in the package that loads numpy and scipy,
-and it loads them on its first call, so importing `chambers` and every
-other engine run without them.
+20.  The grid is the only code in the package that loads numpy, and it
+loads it on its first call, so importing `chambers` and every other engine
+run without it.
 """
 
 from __future__ import annotations
@@ -363,12 +363,17 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
 def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
     """Connected components of the shifted grid of pitch 1/pitch_count.
 
-    numpy and scipy are imported here, their only use in the package, so a
-    process pays for loading them on its first grid call and not before.
+    Neighbours along axis i, the wrap included, are joined unless a subtorus
+    separates them; no subtorus with a_i = 0 can.  The nodes of each line
+    along the last axis fall into runs of joined neighbours, numbered in
+    order, and a line's last run joins its first when the wrap is open.
+    Each open edge along another axis joins two runs; the distinct pairs go
+    to a union-find over the runs (Tarjan, *Efficiency of a good but not
+    linear set union algorithm*, J. ACM 22, 1975), whose count is returned.
+    numpy is imported here, its only use in the package, so a process pays
+    for loading it on its first grid call and not before.
     """
     import numpy as np
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
 
     d = arr.d
     big_b = 2 + sum(sum(abs(a) for a in normal) for normal, _, _ in arr.subtori)
@@ -383,46 +388,49 @@ def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
     if worst >= 2 ** 62:
         raise TooLargeError("grid arithmetic would overflow int64")
 
-    shape = (pitch_count,) * d
-    node_count = pitch_count ** d
-    base = np.arange(node_count, dtype=np.int64).reshape(shape)
-    labels_rows = []
-    labels_cols = []
-    axes_coords = [np.arange(pitch_count, dtype=np.int64) for _ in range(d)]
+    def along(i: int, part: slice) -> tuple[slice, ...]:
+        return (slice(None),) * i + (part,) + (slice(None),) * (d - 1 - i)
 
+    # (tail, head) indices of the edges along each axis: the inner ones, then the wrap
+    edges = [[(along(i, slice(-1)), along(i, slice(1, None))),
+              (along(i, slice(-1, None)), along(i, slice(1)))] for i in range(d)]
+    coords = [np.arange(pitch_count, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (d - 1 - i))
+              for i in range(d)]
+    shape = (pitch_count,) * d
     blocked = [np.zeros(shape, dtype=bool) for _ in range(d)]
     for normal, num, den in arr.subtori:
         c_scaled, rest = divmod(num * pitch_count, den)
         if rest:
             raise RuntimeError("grid pitch must clear offset denominators")
         phi = sum(a * big_b ** (d - 1 - i) for i, a in enumerate(normal))
-        const = -c_scaled * scale + phi
-        values = np.full(shape, const, dtype=np.int64)
+        values = -c_scaled * scale + phi  # broadcast: axes with a_i = 0 keep length 1
         for i, a in enumerate(normal):
             if a:
-                view = (a * scale) * axes_coords[i]
-                reshape = [1] * d
-                reshape[i] = pitch_count
-                values = values + view.reshape(reshape)
+                values = values + (a * scale) * coords[i]
         floors = values // (scale * pitch_count)
-        for i in range(d):
-            rolled = np.roll(floors, -1, axis=i)
-            if normal[i]:
-                wrap = [slice(None)] * d
-                wrap[i] = pitch_count - 1
-                rolled[tuple(wrap)] += normal[i]
-            blocked[i] |= floors != rolled
-    for i in range(d):
-        ok = ~blocked[i]
-        labels_rows.append(base[ok].astype(np.int32))
-        labels_cols.append(np.roll(base, -1, axis=i)[ok].astype(np.int32))
+        for i, a in enumerate(normal):
+            if a:  # crossing the wrap adds a_i to a . x
+                for (tail, head), shift in zip(edges[i], (0, a)):
+                    blocked[i][tail] |= floors[tail] != floors[head] + shift
 
-    rows = np.concatenate(labels_rows)
-    cols = np.concatenate(labels_cols)
-    graph = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                       shape=(node_count, node_count))
-    n_components, _ = connected_components(graph, directed=False)
-    return int(n_components)
+    starts = np.ones(shape, dtype=bool)
+    starts[..., 1:] = blocked[-1][..., :-1]
+    run = np.cumsum(starts).reshape(shape) - 1
+    runs = int(run.flat[-1]) + 1
+    tails, heads = [], []
+    for i in range(d):
+        for tail, head in edges[i] if i < d - 1 else edges[i][1:]:  # inner edges stay in a run
+            open_edge = ~blocked[i][tail]
+            tails.append(run[tail][open_edge])
+            heads.append(run[head][open_edge])
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    # runs <= GRID_NODE_GUARD, so the keys stay below 4e14
+    keys = np.unique(np.minimum(tails, heads) * runs + np.maximum(tails, heads))
+    lows, highs = np.divmod(keys, runs)
+    uf = _UnionFind(runs)
+    for lo, hi in zip(lows.tolist(), highs.tolist()):
+        uf.union(lo, hi)
+    return uf.count
 
 
 def count_regions_toric_grid(arr: ToricArrangement, refinement: int = 1) -> int:

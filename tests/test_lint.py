@@ -1,6 +1,8 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,43 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def third_party_modules(source: str) -> set[str]:
+    """Top-level modules outside the standard library that the source
+    imports, at any depth; relative imports are the package's own."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found - sys.stdlib_module_names
+
+
+def dependency_mismatches(pyproject: str, sources: list[str]) -> list[str]:
+    """Names on which the `dependencies` of a pyproject.toml and the
+    third-party imports of the sources disagree, each with its side."""
+    tomllib = pytest.importorskip("tomllib")
+    declared = {re.match(r"[\w.-]+", dep).group()
+                for dep in tomllib.loads(pyproject)["project"]["dependencies"]}
+    imported = set().union(*map(third_party_modules, sources))
+    return sorted([f"{name}: declared, never imported" for name in declared - imported]
+                  + [f"{name}: imported, not declared" for name in imported - declared])
+
+
+def test_detects_a_dependency_mismatch():
+    sources = ["import json\ndef f():\n    import numpy as np\n    return np\n",
+               "from . import toric\nfrom collections.abc import Callable\n"]
+    assert dependency_mismatches('[project]\ndependencies = ["numpy>=1.24", "scipy>=1.10"]\n',
+                                 sources) == ["scipy: declared, never imported"]
+    assert dependency_mismatches('[project]\ndependencies = []\n',
+                                 sources) == ["numpy: imported, not declared"]
+
+
+def test_dependencies_are_the_third_party_imports():
+    sources = [p.read_text() for p in SOURCES]
+    assert dependency_mismatches((ROOT / "pyproject.toml").read_text(), sources) == []
 
 
 def module_level_names(source: str) -> dict[str, int]:

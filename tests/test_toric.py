@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from itertools import product
+from math import floor, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -274,6 +277,91 @@ class TestGridCounter:
         with pytest.raises(tc.UnstableError):
             count_regions_toric_grid(arr, 1)
         assert count_regions_toric_grid(arr, 2) == count_regions_toric(arr) == 3
+
+
+def reference_grid_count(arr, pitch):
+    """Components of the grid that `_grid_component_count` samples, by BFS.
+
+    Node k, a vector of integers mod pitch, is the point with coordinates
+    x_i = (k_i + 1 / (2 B^(i+1))) / pitch, with B = 2 + the sum of |a|_1 as
+    the grid takes it.  Node k and its neighbour along axis i are joined
+    when floor(a . x - c) is the same at x and at x + e_i / pitch, taken past
+    1 at the wrap, for every subtorus {a . x = c}; the floors are exact.
+    """
+    d = arr.d
+    big_b = 2 + sum(sum(map(abs, a)) for a, _, _ in arr.subtori)
+    shift = [Fraction(1, 2 * big_b ** (i + 1)) for i in range(d)]
+
+    @cache
+    def levels(k):
+        return [floor(sum(x * (y + s) for x, y, s in zip(a, k, shift)) / pitch - Fraction(num, den))
+                for a, num, den in arr.subtori]
+
+    nodes = list(product(range(pitch), repeat=d))
+    neighbours = {k: [] for k in nodes}
+    for k in nodes:
+        for i in range(d):
+            step = k[:i] + (k[i] + 1,) + k[i + 1:]
+            if levels(k) == levels(step):
+                head = k[:i] + ((k[i] + 1) % pitch,) + k[i + 1:]
+                neighbours[k].append(head)
+                neighbours[head].append(k)
+    seen, components = set(), 0
+    for k in nodes:
+        if k not in seen:
+            components += 1
+            seen.add(k)
+            stack = [k]
+            while stack:
+                for m in neighbours[stack.pop()]:
+                    if m not in seen:
+                        seen.add(m)
+                        stack.append(m)
+    return components
+
+
+def random_grid_case(rng, d):
+    """A seeded arrangement of T^d and a pitch that clears its denominators."""
+    keys, n = set(), rng.randint(1, 4)
+    while len(keys) < n:
+        a = tuple(rng.randint(-2, 2) for _ in range(d))
+        if any(a) and gcd(*a) == 1:
+            den = rng.choice((1, 2, 3, 4))
+            keys.add(subtorus(a, rng.randrange(den), den))
+    pitch = lcm(*(den for _, _, den in keys)) * rng.randint(1, {1: 6, 2: 3, 3: 1}[d])
+    return ToricArrangement(d, tuple(sorted(keys))), pitch
+
+
+# The T^2 circles on which the stable grid count is wrong: the exact count is 20.
+GRID_DEFECT = make(2, ((1, -2), 0), ((1, 1), Fraction(3, 4)), ((1, -1), 0),
+                   ((1, -2), Fraction(3, 4)), ((1, 2), 0))
+
+
+class TestGridAgainstReference:
+    @pytest.mark.parametrize("arr,pitch,expected", [
+        (make(1, ((1,), Fraction(1, 3))), 3, 1),  # one run joined across the wrap
+        (make(2, ((1, 0), Fraction(1, 2))), 4, 1),  # no edge along the last axis is blocked
+        (make(2, ((0, 1), Fraction(1, 2))), 4, 1),  # every line's two runs join at the wrap
+        (make(2, ((0, 1), 0), ((0, 1), Fraction(1, 2))), 4, 2),
+        (make(3, ((0, 0, 1), 0)), 1, 1),  # one node, and each wrap is a loop
+    ])
+    def test_hand_cases(self, arr, pitch, expected):
+        assert tc._grid_component_count(arr, pitch) == reference_grid_count(arr, pitch) == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_seeded_cases(self, d):
+        rng = random.Random(d)
+        for _ in range(25):
+            arr, pitch = random_grid_case(rng, d)
+            assert tc._grid_component_count(arr, pitch) == reference_grid_count(arr, pitch), (
+                arr, pitch)
+
+    def test_defect_arrangement(self):
+        pitches = (4, 8, 12, 16, 24, 32)
+        counts = [tc._grid_component_count(GRID_DEFECT, p) for p in pitches]
+        assert counts == [12, 22, 21, 22, 24, 26]
+        assert counts == [reference_grid_count(GRID_DEFECT, p) for p in pitches]
+        assert count_regions_toric(GRID_DEFECT) == 20
 
 
 class TestJson:
