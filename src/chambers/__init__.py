@@ -6,7 +6,10 @@ sign-vector feasibility oracle and, in the tests, by the intersection poset
 and Zaslavsky's theorem, and codimension-one subtorus arrangements in T^d
 by a deletion-restriction sweep of the same shape, cross-checked by a
 fundamental-domain decomposition with facet gluing.  The engines use exact
-integer arithmetic below the input boundary.
+integer arithmetic below the input boundary.  An arrangement is checked once,
+where it is made: building a `ProjArrangement` with a repeated hyperplane or
+a common point raises `ValidationError`, and a `ToricArrangement` checks its
+subtori likewise, so no engine checks its input again.
 """
 
 from .bounds import (
@@ -37,11 +40,11 @@ from .oracle import count_regions_oracle, sign_vector_feasible
 from .projective import (
     IntersectionPoset,
     ProjArrangement,
+    ValidationError,
     build_intersection_poset,
     characteristic_polynomial,
     count_regions_projective,
     max_point_multiplicity,
-    validate,
 )
 from .spectrum import (
     SpectrumReport,
@@ -65,6 +68,7 @@ __all__ = [
     "Recipe",
     "SpectrumReport",
     "ToricArrangement",
+    "ValidationError",
     "bound_homological",
     "bound_mcmullen",
     "bound_multiplicity_product",
@@ -94,6 +98,5 @@ __all__ = [
     "toric_construction_b",
     "toric_spectrum_contains",
     "two_extra_planes",
-    "validate",
     "verify_bounds_batch",
 ]

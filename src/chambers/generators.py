@@ -43,7 +43,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .exactlin import Vec, cross3, dot, primitive_normalize
-from .projective import ProjArrangement, validate
+from .projective import ProjArrangement, ValidationError
 from .toric import ToricArrangement
 
 
@@ -328,10 +328,7 @@ def pencil_with_extras(q: int, program: Sequence[str]) -> ProjArrangement:
             stack_point = primitive_normalize(cross3(line, builder.lines[0]))
             if {"stack", "stack_cross"} & set(program):
                 reserved = (stack_point,)
-    arr = ProjArrangement(2, tuple(builder.lines))
-    if validate(arr):
-        raise PlacementError("pencil-with-extras construction degenerated")
-    return arr
+    return ProjArrangement(2, tuple(builder.lines))
 
 
 def cone(base: ProjArrangement, extras: int = 1,
@@ -405,10 +402,7 @@ def two_extra_planes(base: ProjArrangement, coincidences: int = 0,
         covs.append(base.covectors[0] + (1,))
         return ProjArrangement(3, tuple(covs))
     covs.append(_PlaneBuilder(base.covectors).place_line(coincidences) + (1,))
-    arr = ProjArrangement(3, tuple(covs))
-    if validate(arr):
-        raise PlacementError("two-extra construction degenerated")
-    return arr
+    return ProjArrangement(3, tuple(covs))
 
 
 def two_extra_planes_count(base_count: int, base_n: int,
@@ -474,9 +468,10 @@ def three_extra_planes(base: ProjArrangement, s2: int, s3: int, s23: int) -> Pro
             covs.append((0, 0, 0, 1))
             covs.append(w2 + (b,))
             covs.append(w3 + (1,))
-            arr = ProjArrangement(3, tuple(covs))
-            if not validate(arr):
-                return arr
+            try:
+                return ProjArrangement(3, tuple(covs))
+            except ValidationError:
+                continue
     raise PlacementError(f"no placement found for anchors ({s2}, {s3}, {s23})")
 
 

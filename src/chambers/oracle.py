@@ -4,7 +4,8 @@ Independent of the deletion-restriction sweep and the poset: a region of
 the central lift is a feasible strict sign vector (sigma_i u_i . x > 0 for
 all i), decided by exact integer linear feasibility with primitive integer
 witnesses.
-Projective regions are antipodal pairs of central ones.
+Projective regions are antipodal pairs of central ones.  A ProjArrangement
+is checked when it is made, so the oracle does not check it again.
 
 Enumeration is the shared depth-first walk over sign prefixes
 (`feasibility.walk_sign_vectors`): infeasible prefixes are pruned, each node
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .feasibility import TooLargeError, feasible_point, walk_sign_vectors
-from .projective import ProjArrangement, ensure_valid
+from .projective import ProjArrangement
 
 ENUMERATION_GUARD = 24
 
@@ -46,7 +47,6 @@ def count_regions_oracle(arr: ProjArrangement) -> int:
     Feasible vectors come in antipodal pairs, so only the branch with
     sigma_1 = +1 is walked and its leaf count is the projective answer.
     """
-    ensure_valid(arr)
     if arr.n > ENUMERATION_GUARD:
         raise TooLargeError(f"n = {arr.n} exceeds the enumeration guard")
     first, *rest = arr.covectors

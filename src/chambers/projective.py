@@ -1,9 +1,10 @@
 """Hyperplane arrangements in real projective space RP^d.
 
 An arrangement is a list of primitive integer covectors in Z^(d+1); each
-covector u cuts out the hyperplane {x : u . x = 0}.  A valid arrangement has
-pairwise distinct hyperplanes and no point common to all of them (the n x
-(d+1) covector matrix has full rank d+1).
+covector u cuts out the hyperplane {x : u . x = 0}.  Its hyperplanes are
+pairwise distinct and have no point common to all of them (the n x (d+1)
+covector matrix has full rank d+1); `ProjArrangement` checks both when it is
+made, so the engines below take them as given.
 
 Region counts come from a deletion-restriction sweep over the central lift
 in R^(d+1) (Zaslavsky, Mem. AMS 154, 1975; Stanley, *An introduction to
@@ -66,11 +67,15 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ProjArrangement:
-    """n hyperplanes in RP^d, stored as primitive integer covectors.
+    """n distinct hyperplanes in RP^d with no common point, stored as
+    primitive integer covectors.
 
-    Covectors are reduced to primitive form but keep their input sign, so
-    deliberately degenerate inputs (u and -u) stay representable for the
-    oracle; `validate` reports them as duplicates.
+    Covectors are reduced to primitive form but keep their input sign.  The
+    arrangement is checked once, here: a hyperplane given twice (u and -u
+    included) or a covector matrix of rank below d + 1 raises
+    ValidationError, listing every duplicate pair and then the common point.
+    So every ProjArrangement is one the counts apply to, and no engine
+    checks it again.
     """
 
     d: int
@@ -85,14 +90,23 @@ class ProjArrangement:
                 raise ValueError(f"covector {u} has wrong length for RP^{self.d}")
             fixed.append(primitive_scale(u))
         object.__setattr__(self, "covectors", tuple(fixed))
+        violations = []
+        seen = {}
+        for i, u in enumerate(fixed):
+            # covectors are primitive, so u and -u are the only forms of one hyperplane
+            key = u if next(x for x in u if x) > 0 else tuple([-x for x in u])
+            if key in seen:
+                violations.append(f"DuplicateHyperplane: {seen[key]} and {i}")
+            else:
+                seen[key] = i
+        if rank(fixed) <= self.d:
+            violations.append("CommonPoint: covector matrix rank below d+1")
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def n(self) -> int:
         return len(self.covectors)
-
-    def delete(self, index: int) -> "ProjArrangement":
-        covs = self.covectors[:index] + self.covectors[index + 1:]
-        return ProjArrangement(self.d, covs)
 
     def to_json(self) -> dict:
         return {
@@ -107,28 +121,6 @@ class ProjArrangement:
             raise ValueError("not a projective arrangement file")
         covs = tuple(parse_int_vector(u) for u in json_field(data, "covectors", list))
         return ProjArrangement(parse_int(json_field(data, "d")), covs)
-
-
-def validate(arr: ProjArrangement) -> list[str]:
-    """Return a list of violations; empty means the arrangement is valid."""
-    violations = []
-    seen = {}
-    for i, u in enumerate(arr.covectors):
-        # covectors are primitive, so u and -u are the only forms of one hyperplane
-        key = u if next(x for x in u if x) > 0 else tuple([-x for x in u])
-        if key in seen:
-            violations.append(f"DuplicateHyperplane: {seen[key]} and {i}")
-        else:
-            seen[key] = i
-    if rank(arr.covectors) <= arr.d:
-        violations.append("CommonPoint: covector matrix rank below d+1")
-    return violations
-
-
-def ensure_valid(arr: ProjArrangement) -> None:
-    violations = validate(arr)
-    if violations:
-        raise ValidationError(violations)
 
 
 @dataclass(frozen=True)
@@ -165,33 +157,16 @@ def build_intersection_poset(arr: ProjArrangement) -> IntersectionPoset:
     covs = arr.covectors
     n = len(covs)
     ambient = arr.d + 1
-    total_rank = len(echelon_form(covs))
 
-    # (incident, echelon, rank, parents) in discovery order, bottom first
+    # (incident, echelon, rank, parents) in discovery order, bottom first; the
+    # hyperplanes are distinct, so each is its own atom
     raw: list[tuple[frozenset[int], tuple[Vec, ...], int, tuple[int, ...]]] = [
         (frozenset(), (), 0, ())
     ]
-    current: list[int] = []
-    seen_atoms: dict[tuple[Vec, ...], int] = {}
-    for i, u in enumerate(covs):
-        ech = (primitive_normalize(u),)
-        if ech in seen_atoms:  # tolerated only on unvalidated input
-            idx = seen_atoms[ech]
-            inc, e, r, p = raw[idx]
-            raw[idx] = (inc | {i}, e, r, p)
-            continue
-        seen_atoms[ech] = len(raw)
-        current.append(len(raw))
-        raw.append((frozenset([i]), ech, 1, (0,)))
+    raw += [(frozenset([i]), (primitive_normalize(u),), 1, (0,)) for i, u in enumerate(covs)]
+    current = list(range(1, n + 1))
 
-    r = 1
-    while current and r < total_rank:
-        if r == total_rank - 1:
-            # every extension of a corank-one flat spans the whole row space,
-            # so the unique top flat is incident to every hyperplane
-            raw.append((frozenset(range(n)), echelon_form(covs), total_rank,
-                        tuple(current)))
-            break
+    for r in range(1, ambient - 1):
         groups: dict[tuple[Vec, ...], tuple[set[int], set[int]]] = {}
         for fi in current:
             inc_f, ech_f, _, _ = raw[fi]
@@ -199,8 +174,6 @@ def build_intersection_poset(arr: ProjArrangement) -> IntersectionPoset:
                 if h in inc_f:
                     continue
                 child = echelon_insert(ech_f, covs[h])
-                if child is None:  # duplicate hyperplane on unvalidated input
-                    continue
                 bucket = groups.get(child)
                 if bucket is None:
                     bucket = (set(), set())
@@ -213,7 +186,9 @@ def build_intersection_poset(arr: ProjArrangement) -> IntersectionPoset:
             inc_c, parents = groups[ech_c]
             current.append(len(raw))
             raw.append((frozenset(inc_c), ech_c, r + 1, tuple(sorted(parents))))
-        r += 1
+    # every extension of a corank-one flat spans the whole row space, so the
+    # unique top flat is incident to every hyperplane
+    raw.append((frozenset(range(n)), echelon_form(covs), ambient, tuple(current)))
 
     # Mobius values via memoized down-sets (construction order is rank-ascending)
     downs: list[frozenset[int]] = []
@@ -255,7 +230,6 @@ def evaluate_poly(coeffs: Sequence[int], t: int) -> int:
 
 def count_regions_projective(arr: ProjArrangement) -> int:
     """Number of open d-cells of RP^d cut out by the arrangement."""
-    ensure_valid(arr)
     return _sweep(arr.covectors, arr.d + 1, [SWEEP_GUARD]) // 2
 
 
@@ -265,7 +239,6 @@ def max_point_multiplicity(arr: ProjArrangement) -> int:
     A point of RP^d is a line through 0 in R^(d+1), so m is `_heaviest`
     of the covectors, each of weight one, with nothing to beat.
     """
-    ensure_valid(arr)
     return _heaviest(arr.covectors, (1,) * arr.n, arr.d + 1, 0, [SWEEP_GUARD])
 
 

@@ -30,9 +30,9 @@ from .exactlin import primitive_normalize
 from .generators import Recipe
 from .projective import (
     ProjArrangement,
+    ValidationError,
     count_regions_projective,
     max_point_multiplicity,
-    validate,
 )
 from .toric import ToricArrangement, count_regions_toric
 
@@ -368,7 +368,8 @@ def random_arrangements(count: int, seed: int = 0,
             covs.append(key)
         if len(covs) < n:
             continue
-        arr = ProjArrangement(d, tuple(covs))
-        if not validate(arr):
-            out.append(arr)
+        try:
+            out.append(ProjArrangement(d, tuple(covs)))
+        except ValidationError:
+            continue
     return out

@@ -68,7 +68,7 @@ from .feasibility import SWEEP_GUARD, TooLargeError, walk_sign_vectors
 
 LIFT_GUARD = 24
 DIMENSION_GUARD = 4
-GRID_NODE_GUARD = 2 * 10 ** 7
+GRID_NODE_GUARD = 10 ** 6
 
 # A subtorus: (primitive normal, offset numerator, offset denominator), canonical.
 Key = tuple[Vec, int, int]
@@ -424,7 +424,7 @@ def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
             tails.append(run[tail][open_edge])
             heads.append(run[head][open_edge])
     tails, heads = np.concatenate(tails), np.concatenate(heads)
-    # runs <= GRID_NODE_GUARD, so the keys stay below 4e14
+    # runs <= GRID_NODE_GUARD, so the keys stay below 1e12
     keys = np.unique(np.minimum(tails, heads) * runs + np.maximum(tails, heads))
     lows, highs = np.divmod(keys, runs)
     uf = _UnionFind(runs)

@@ -190,6 +190,23 @@ class TestCount:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("covectors,violation", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-2, 0, 0]], "DuplicateHyperplane: 0 and 3"),
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], "CommonPoint: covector matrix rank below d+1"),
+    ])
+    @pytest.mark.parametrize("argv", [["count"], ["count", "--engine", "oracle"],
+                                      ["gen", "cone", "--base"],
+                                      ["gen", "two-extra", "--base"]])
+    def test_invalid_projective_file_is_usage_error(self, capsys, tmp_path, argv,
+                                                    covectors, violation):
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps({"type": "projective", "d": 2, "covectors": covectors}))
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {violation}\n"
+
 
 class TestBounds:
     def test_table_contains_product_bound(self, capsys):

@@ -164,8 +164,6 @@ READ_BY_TESTS_ONLY = {
     "projective.py: evaluate_poly": "serves the intersection poset, the tests' reference "
                                     "engine, and goes with it",
     "projective.py: level_sizes": "the intersection poset's, as evaluate_poly",
-    "projective.py: delete": "the oracle tests delete a hyperplane with it; reviewed "
-                             "when the poset goes",
     "toric.py: load_toric": "pairs with dump_toric, which `chambers gen` writes",
 }
 

@@ -6,7 +6,7 @@ import pytest
 from chambers import feasibility, oracle, toric
 from chambers.generators import general_position, general_position_count
 from chambers.oracle import TooLargeError, count_regions_oracle, sign_vector_feasible
-from chambers.projective import ProjArrangement, count_regions_projective
+from chambers.projective import ProjArrangement, ValidationError, count_regions_projective
 
 TRIANGLE = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
@@ -24,11 +24,6 @@ def near_pencil(n):
 class TestSignVectorFeasible:
     def test_triangle_all_plus(self):
         assert sign_vector_feasible(TRIANGLE, (1, 1, 1))
-
-    def test_opposite_covectors_infeasible(self):
-        relaxed = ProjArrangement(2, ((1, 1, 1), (-1, -1, -1)))
-        assert not sign_vector_feasible(relaxed, (1, 1))
-        assert sign_vector_feasible(relaxed, (1, -1))
 
     def test_four_generic_lines_feasible_count(self):
         arr = moment_curve(4, 2)
@@ -51,7 +46,10 @@ class TestSignVectorFeasible:
                 v = tuple(rng.randint(-2, 2) for _ in range(3))
                 if any(v):
                     covs.add(v)
-            arr = ProjArrangement(2, tuple(covs))
+            try:
+                arr = ProjArrangement(2, tuple(covs))
+            except ValidationError:
+                continue
             total = sum(
                 sign_vector_feasible(arr, signs)
                 for signs in itertools.product((1, -1), repeat=4))
@@ -93,7 +91,8 @@ class TestCountRegionsOracle:
         arr = moment_curve(7, 2)
         f = count_regions_projective(arr)
         for i in range(arr.n):
-            assert count_regions_projective(arr.delete(i)) <= f
+            rest = ProjArrangement(arr.d, arr.covectors[:i] + arr.covectors[i + 1:])
+            assert count_regions_projective(rest) <= f
 
     def test_lp_count_on_gp_12_3(self, monkeypatch):
         # Every feasible_point call, the walk's and the root's.  The walk

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -362,6 +363,14 @@ class TestGridAgainstReference:
         assert counts == [12, 22, 21, 22, 24, 26]
         assert counts == [reference_grid_count(GRID_DEFECT, p) for p in pitches]
         assert count_regions_toric(GRID_DEFECT) == 20
+
+    def test_refuses_a_grid_too_large_to_hold(self):
+        # 60^4 = 1.3e7 nodes: about 2 GB of arrays if it were built
+        arr = make(4, ((1, 0, 0, 0), 0))
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="12960000 nodes"):
+            tc._grid_component_count(arr, 60)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestJson:
