@@ -22,7 +22,7 @@ Criteria (all required unless marked stretch):
 3. the 36-value low spectrum at n = 50 in RP^3: required values realized,
    nothing unexpected below 12n-60, full list as stretch;
 4. toric construction counts against their closed forms, cross-checked by
-   the cube engine (`torus_decomposition`);
+   the cube engine (`torus_decomposition`), up to b(40, 3, 9) and T^6;
 5. the complete low toric spectrum up to cap 2n + 2 at (n, d) in {(6, 2),
    (7, 2), (8, 2), (8, 3)}, where the spectrum has gaps, each witness
    cross-checked by the cube engine;
@@ -165,13 +165,13 @@ def _low_spectrum_3d(registry, seed):
 
 
 def _toric_constructions(registry, seed):
-    cases = []
+    cases, bs = [], [(20, 5, 2), (30, 6, 4), (40, 3, 9)]
     for d in (2, 3):
         cases += [(f"a(n={n},d={d},k={k})", gn.toric_construction_a(n, d, k), n - k)
                   for k in range(d) for n in range(max(2, k + 1), 9)]
-        cases += [(f"b(n={n},d={d},k={k})", gn.toric_construction_b(n, d, k),
-                   gn.toric_construction_b_count(n, d, k))
-                  for k in range(6) for n in range(d, 9) if (n, k) != (d, 0)]
+        bs += [(n, d, k) for k in range(6) for n in range(d, 9) if (n, k) != (d, 0)]
+    cases += [(f"b(n={n},d={d},k={k})", gn.toric_construction_b(n, d, k),
+               gn.toric_construction_b_count(n, d, k)) for n, d, k in bs]
     problems = []
     for label, arr, expected in cases:
         f = count_regions_toric(arr)

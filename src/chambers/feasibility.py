@@ -49,6 +49,11 @@ certificate under the child's depth and side by the depths and signs of the
 walked rows it uses.  A later child at that depth and side whose signs agree
 there is empty by the same certificate and costs no program.  The file lives
 for one walk.
+
+Work is bounded by a one-entry budget list that the caller starts at
+`SWEEP_GUARD`.  Before any pivot, a program is charged len(rows) (dim + 1)
+entries for its columns and (dim + 1)^3 for pivoting den * B^-1, and
+TooLargeError is raised once the budget is spent.
 """
 
 from __future__ import annotations
@@ -61,13 +66,15 @@ from .exactlin import Vec, dot, primitive_scale
 
 
 class TooLargeError(ValueError):
-    """An exact engine's size guard refuses the instance."""
+    """An exact engine's work budget refuses the instance."""
 
 
-# Both deletion-restriction sweeps charge each restriction's integer entries
-# here before computing them.  On a shared 2-CPU Linux machine (Python 3.11)
-# the RP^d sweep made 1.7 (GP(25, 10)) to 2.6 M entries/s and the T^d sweep
-# 2.5 to 6.5 M/s, so this is at most about 0.5 s of work; the costliest
+# The one work budget of all four exact engines, charged before the work: the
+# RP^d and T^d sweeps charge each restriction's integer entries, the oracle
+# and the cube engine each program's.  On a shared 2-CPU Linux machine
+# (Python 3.11) the RP^d sweep made 1.7 (GP(25, 10)) to 2.6 M entries/s, the
+# T^d sweep 2.5 to 6.5 M/s, the oracle 1.2 (GP(40, 2)) to 2.5 M/s and the cube
+# engine 4.9 to 7.4 M/s, so this is at most about 0.7 s of work; the costliest
 # first-four witness, at (d, n) = (10, 25), charges 485,373 entries.
 SWEEP_GUARD = 800_000
 
@@ -98,7 +105,7 @@ class PhaseOneBasis:
         return other
 
 
-def feasible_point(rows: Sequence[Sequence[int]], dim: int,
+def feasible_point(rows: Sequence[Sequence[int]], dim: int, budget: list[int],
                    basis: PhaseOneBasis | None = None) -> Vec | None:
     """Primitive integer x with r . x > 0 for every row, or None when none exists.
 
@@ -107,7 +114,8 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int,
     With no rows every x qualifies and the zero vector is returned.  A given
     `basis` must be primal feasible for these rows, as any basis left by a
     call on a prefix of them is; it is pivoted in place to the optimum.
-    Without one the solve starts from the all-artificial basis.
+    Without one the solve starts from the all-artificial basis.  Before any
+    pivot the solve charges its entries to `budget[0]` (see the module).
     """
     for r in rows:
         if len(r) != dim:
@@ -122,6 +130,9 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int,
     elif len(basis.ids) != m:
         raise ValueError(f"basis is for {len(basis.ids) - 1} variables, not {dim}")
     k = len(rows)
+    budget[0] -= k * m + m ** 3
+    if budget[0] < 0:
+        raise TooLargeError(f"the linear programs need more than {SWEEP_GUARD} entries")
     ids, inv, rhs = basis.ids, basis.inv, basis.rhs
 
     while True:
@@ -197,7 +208,7 @@ def _certificate_support(held: Sequence[Vec], basis: PhaseOneBasis, dim: int) ->
 
 
 def walk_sign_vectors(base_rows: Sequence[Vec], witness: Vec, rows: Sequence[Vec],
-                      dim: int) -> Iterator[tuple[tuple[int, ...], Vec]]:
+                      dim: int, budget: list[int]) -> Iterator[tuple[tuple[int, ...], Vec]]:
     """Every feasible strict sign vector of `rows` under the base rows.
 
     Yields (signs, x) for each s in {+1, -1}^len(rows) such that some x has
@@ -240,7 +251,7 @@ def walk_sign_vectors(base_rows: Sequence[Vec], witness: Vec, rows: Sequence[Vec
                                  map(and_, known, repeat(plus)))):
                 continue
             solved = basis.copy()
-            child = feasible_point(grown, dim, solved)
+            child = feasible_point(grown, dim, budget, solved)
             if child is not None:
                 stack.append((child_plus, grown, child, solved))
                 continue

@@ -24,7 +24,7 @@ works in the closed fundamental cube [0,1]^d:
 
 1. lift each subtorus to the finitely many affine hyperplanes a . x = c + t
    that meet the cube, as integer rows (den a, -(num + t den)), counting
-   them against `LIFT_GUARD` before any row is made;
+   them against `feasibility.SWEEP_GUARD` before any row is made;
 2. enumerate the open cells the lifted hyperplanes cut the open cube into
    (the shared sign-vector walk `feasibility.walk_sign_vectors`, one strict
    sign per lifted hyperplane, homogenized so the cube constraints become
@@ -39,8 +39,8 @@ works in the closed fundamental cube [0,1]^d:
 
 A facet contained in a lifted hyperplane lies on the arrangement itself
 and glues nothing.  The closed-cube lift guarantees the induced facet
-arrangements on opposite facets agree, so witnesses translate across.
-`DIMENSION_GUARD` and `LIFT_GUARD` cap it.
+arrangements on opposite facets agree, so witnesses translate across.  All
+its walks charge their programs to one budget of `SWEEP_GUARD` entries.
 
 `count_regions_toric_grid` is a heuristic kept only for the benchmark's
 hooks, and no count or check in the package uses it.  It samples a shifted
@@ -66,8 +66,6 @@ from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_i
                        parse_rational, read_json)
 from .feasibility import SWEEP_GUARD, TooLargeError, walk_sign_vectors
 
-LIFT_GUARD = 24
-DIMENSION_GUARD = 4
 GRID_NODE_GUARD = 10 ** 6
 
 # A subtorus: (primitive normal, offset numerator, offset denominator), canonical.
@@ -160,15 +158,16 @@ def lift_to_cube(arr: ToricArrangement) -> list[Vec]:
     """Rows (den a, -(num + t den)) of the translates a . x = num/den + t meeting [0,1]^d.
 
     There a . x fills [lo, hi], the sums of a's negative and positive entries;
-    as 0 <= num/den < 1, t runs from lo to hi, hi left out when num > 0.  More
-    than `LIFT_GUARD` translates raise TooLargeError before any row is made.
+    as 0 <= num/den < 1, t runs from lo to hi, hi left out when num > 0.  If
+    these and the 2d + 1 cube rows, in d + 1 columns, have more than
+    `SWEEP_GUARD` entries, TooLargeError is raised before any row is made.
     """
     translates = [(a, num, den, range(sum(x for x in a if x < 0),
                                       sum(x for x in a if x > 0) + (num == 0)))
                   for a, num, den in arr.subtori]
     total = sum(len(ts) for *_, ts in translates)
-    if total > LIFT_GUARD:
-        raise TooLargeError(f"{total} lifted hyperplanes exceed the guard")
+    if (total + 2 * arr.d + 1) * (arr.d + 1) > SWEEP_GUARD:
+        raise TooLargeError(f"{total} lifted hyperplanes in T^{arr.d} exceed the work budget")
     return [(*(x * den for x in a), -(num + t * den)) for a, num, den, ts in translates for t in ts]
 
 
@@ -271,7 +270,8 @@ def _unimodular_basis(a: Vec) -> list[Vec]:
 # cube engine: the exact cross-check
 
 
-def _enumerate_cells(dim: int, rows: Sequence[Vec]) -> list[tuple[tuple[int, ...], Vec]]:
+def _enumerate_cells(dim: int, rows: Sequence[Vec],
+                     budget: list[int]) -> list[tuple[tuple[int, ...], Vec]]:
     """Open cells of (0,1)^dim cut by the hyperplanes of the homogenized rows.
 
     Returns (signs, z) pairs: one strict sign per row (including rows whose
@@ -289,7 +289,7 @@ def _enumerate_cells(dim: int, rows: Sequence[Vec]) -> list[tuple[tuple[int, ...
         f[dim] = 1
         cube_rows.append(tuple(f))
     root = (1,) * dim + (2,)
-    return list(walk_sign_vectors(cube_rows, root, rows, dim + 1))
+    return list(walk_sign_vectors(cube_rows, root, rows, dim + 1, budget))
 
 
 class _UnionFind:
@@ -333,12 +333,10 @@ def _stepped_signs(rows: Sequence[Vec], z: Vec, axis: int, direction: int) -> tu
 
 
 def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
-    if arr.d > DIMENSION_GUARD:
-        raise TooLargeError(f"d = {arr.d} exceeds the dimension guard")
     d = arr.d
     rows = lift_to_cube(arr)
-
-    cells = _enumerate_cells(d, rows)
+    budget = [SWEEP_GUARD]
+    cells = _enumerate_cells(d, rows, budget)
     index = {signs: i for i, (signs, _) in enumerate(cells)}
     uf = _UnionFind(len(cells))
     glued = 0
@@ -348,7 +346,7 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
             continue  # the facet pair lies on the row x_axis = 0; nothing glues
         # induced arrangement on the facet x_axis = 0: drop the axis column
         traces = [r[:axis] + r[axis + 1:] for r in rows]
-        for _, q in _enumerate_cells(d - 1, traces):
+        for _, q in _enumerate_cells(d - 1, traces, budget):
             low = _stepped_signs(rows, q[:axis] + (0,) + q[axis:], axis, +1)
             high = _stepped_signs(rows, q[:axis] + (q[-1],) + q[axis:], axis, -1)
             uf.union(index[low], index[high])

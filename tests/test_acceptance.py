@@ -135,7 +135,7 @@ def test_exit_code_contract(battery):
 
 # sha256 of the full battery's printed lines, joined by newlines, each
 # without its trailing "(x.xs)" timing.
-BATTERY_LINES = "209e2460d143b0c342c87089d6fb3e9e7222508134c5823b85efcc161e1b806f"
+BATTERY_LINES = "51d6eeb5c7787654d30cab70f340ebab0af6cc0aaa3b35b7b0f626cb0f1576fa"
 
 
 def test_printed_lines_are_pinned(printed):

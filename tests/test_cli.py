@@ -70,13 +70,17 @@ class TestCount:
     def test_toric_past_the_cube_guards(self, capsys, tmp_path):
         path = tmp_path / "t5.json"
         dump_toric(toric_construction_b(20, 5, 2), str(path))
+        for engine in ("auto", "cube"):
+            code, out = run(capsys, "count", "--engine", engine, str(path))
+            assert code == 0
+            assert json.loads(out) == {"f": 32}
+        # the sweep counts b(400, 2, 9); the cube engine's programs overrun the budget
+        path = tmp_path / "b400.json"
+        dump_toric(toric_construction_b(400, 2, 9), str(path))
         code, out = run(capsys, "count", str(path))
         assert code == 0
-        assert json.loads(out) == {"f": 32}
-        code = main(["count", "--engine", "cube", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("error: ")
+        assert json.loads(out) == {"f": 805}
+        self.refused_quickly(capsys, path, "--engine", "cube")
 
     @staticmethod
     def refused_quickly(capsys, path, *flags):
@@ -107,6 +111,14 @@ class TestCount:
                                                 for j in range(3)]), str(path))
         self.refused_quickly(capsys, path)
 
+    @pytest.mark.parametrize("d", [50, 2000])
+    def test_high_dimensional_toric_is_refused_by_the_cube_engine(self, capsys, tmp_path, d):
+        # T^50 is refused by its programs' (d + 2)^3 charges, T^2000 by its lift
+        path = tmp_path / "coordinates.json"
+        dump_toric(ToricArrangement.make(d, [(tuple(int(i == j) for i in range(d)), 0)
+                                             for j in range(3)]), str(path))
+        self.refused_quickly(capsys, path, "--engine", "cube")
+
     @pytest.mark.parametrize("d,a", [(0, []), (-1, [1])])
     def test_toric_dimension_below_one_is_named(self, capsys, tmp_path, d, a):
         path = tmp_path / "t0.json"
@@ -126,6 +138,12 @@ class TestCount:
         path = tmp_path / "huge.json"
         dump_arrangement(arr, str(path))
         self.refused_quickly(capsys, path)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_oversize_projective_is_refused_by_the_oracle(self, capsys, tmp_path, d):
+        path = tmp_path / "gp.json"
+        dump_arrangement(general_position(24, d), str(path))
+        self.refused_quickly(capsys, path, "--engine", "oracle")
 
     @pytest.mark.parametrize("argv", [["--refinement", "2"], ["--engine", "grid"]])
     def test_grid_options_are_gone(self, capsys, toric_file, argv):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from chambers import feasibility
 from chambers.exactlin import cross3, primitive_scale
-from chambers.feasibility import PhaseOneBasis, feasible_point, walk_sign_vectors
+from chambers.feasibility import (SWEEP_GUARD, PhaseOneBasis, TooLargeError, feasible_point,
+                                  walk_sign_vectors)
 from chambers.oracle import sign_vector_feasible
 from chambers.projective import ProjArrangement
 
@@ -40,7 +41,7 @@ def fourier_motzkin_feasible(rows):
 
 def decide(rows, dim, basis=None):
     """Feasibility, checking that a witness is primitive, integer and strict."""
-    x = feasible_point(rows, dim, basis)
+    x = feasible_point(rows, dim, [SWEEP_GUARD], basis)
     if x is not None:
         assert all(type(xi) is int for xi in x)
         assert math.gcd(*x) == 1
@@ -63,19 +64,20 @@ class TestKnownSystems:
         assert not decide([(1, 0), (-1, 2), (-1, -2)], 2)
 
     def test_empty_system(self):
-        assert feasible_point([], 3) == (0, 0, 0)
+        assert feasible_point([], 3, [SWEEP_GUARD]) == (0, 0, 0)
 
     def test_fraction_rows_refused(self):
         with pytest.raises(ValueError):
-            feasible_point([(Fraction(1, 2), Fraction(-1, 3)), (0, 1)], 2)
+            feasible_point([(Fraction(1, 2), Fraction(-1, 3)), (0, 1)], 2, [SWEEP_GUARD])
         with pytest.raises(ValueError):
-            feasible_point([(3, -2), (Fraction(0), 1)], 2)
+            feasible_point([(3, -2), (Fraction(0), 1)], 2, [SWEEP_GUARD])
 
     def test_row_length_must_match_dim(self):
         with pytest.raises(ValueError):
-            feasible_point([(1, 0, 1), (-1, 0, 1)], 2)  # feasible in three variables
+            # feasible in three variables
+            feasible_point([(1, 0, 1), (-1, 0, 1)], 2, [SWEEP_GUARD])
         with pytest.raises(ValueError):
-            feasible_point([(1, 0), (1,)], 2)
+            feasible_point([(1, 0), (1,)], 2, [SWEEP_GUARD])
 
     def test_degenerate_equality_like(self):
         # x >= 1 and -x >= 1 squeezed through a shared hyperplane
@@ -126,13 +128,36 @@ class TestWarmStart:
     def test_warm_equals_cold(self, case):
         dim, rows, cut = case
         basis = PhaseOneBasis(dim)
-        feasible_point(rows[:cut], dim, basis)
+        feasible_point(rows[:cut], dim, [SWEEP_GUARD], basis)
         warm = decide(rows, dim, basis)
         assert warm == decide(rows, dim) == fourier_motzkin_feasible(rows)
 
     def test_basis_of_another_dimension_refused(self):
         with pytest.raises(ValueError):
-            feasible_point([(1, 0, 0)], 3, PhaseOneBasis(2))
+            feasible_point([(1, 0, 0)], 3, [SWEEP_GUARD], PhaseOneBasis(2))
+
+
+class TestBudget:
+    def test_refuses_before_pivoting(self):
+        # three rows in two variables charge 3 * 3 + 3^3 = 36 entries.  The
+        # basis the prefix left must come back from a refusal as it went in,
+        # and the solve that the budget covers must pivot it
+        rows = [(1, 0), (-1, 2), (-1, -2)]
+        basis = PhaseOneBasis(2)
+        feasible_point(rows[:1], 2, [SWEEP_GUARD], basis)
+
+        def state():
+            return basis.ids[:], [row[:] for row in basis.inv], basis.rhs[:], basis.den
+
+        before = state()
+        budget = [35]
+        with pytest.raises(TooLargeError):
+            feasible_point(rows, 2, budget, basis)
+        assert state() == before
+        budget = [36]
+        assert feasible_point(rows, 2, budget, basis) is None
+        assert budget == [0]
+        assert state() != before
 
 
 def kernel_stream(seed=1209, count=400):
@@ -174,7 +199,7 @@ def test_kernel_pivots_are_pinned():
     for dim, rows, cut in kernel_stream():
         basis = PhaseOneBasis(dim)
         for part in ((rows[:cut],) if cut else ()) + (rows,):
-            x = feasible_point(part, dim, basis)
+            x = feasible_point(part, dim, [SWEEP_GUARD], basis)
             digest.update(repr((x, basis.ids, basis.inv, basis.rhs, basis.den)).encode())
         outcomes[x is None] += 1
     assert outcomes == {True: 201, False: 199}
@@ -194,7 +219,7 @@ def test_randomized_dim4_witnesses_verify():
 def test_walk_matches_sign_vector_feasible():
     arr = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
                               (1, -1, 2)))
-    leaves = dict(walk_sign_vectors((), (0, 0, 0), arr.covectors, 3))
+    leaves = dict(walk_sign_vectors((), (0, 0, 0), arr.covectors, 3, [SWEEP_GUARD]))
     for signs in itertools.product((1, -1), repeat=arr.n):
         assert (signs in leaves) == sign_vector_feasible(arr, signs)
     for signs, x in leaves.items():
@@ -205,12 +230,13 @@ def test_walk_matches_sign_vector_feasible():
 
 def test_walk_solves_both_children_below_a_witness_on_the_next_row():
     base, first = (1, 0, 0), (0, 1, 0)
-    x = feasible_point([base, first], 3)  # the walk's witness after sign +1 on `first`
+    # the walk's witness after sign +1 on `first`
+    x = feasible_point([base, first], 3, [SWEEP_GUARD])
     on_x = cross3(x, (0, 0, 1))  # a row through that witness
     assert sum(a * b for a, b in zip(on_x, x)) == 0
     rows = (first, on_x, (1, 1, -1), (2, -1, 1), (1, -2, -3))
     arr = ProjArrangement(2, (base,) + rows)
-    leaves = dict(walk_sign_vectors((base,), base, rows, 3))
+    leaves = dict(walk_sign_vectors((base,), base, rows, 3, [SWEEP_GUARD]))
     for signs in itertools.product((1, -1), repeat=len(rows)):
         assert (signs in leaves) == sign_vector_feasible(arr, (1,) + signs)
     for signs, x in leaves.items():
@@ -268,8 +294,8 @@ def solves_of_walk(base, witness, rows, dim):
     """
     solves = []
 
-    def recording(held, dim, basis=None):
-        x = feasible_point(held, dim, basis)
+    def recording(held, dim, budget, basis=None):
+        x = feasible_point(held, dim, budget, basis)
         cert = None
         if x is None:
             cert = {(j, held[j]) for j in feasibility._certificate_support(held, basis, dim)}
@@ -277,7 +303,7 @@ def solves_of_walk(base, witness, rows, dim):
         return x
 
     with mock.patch.object(feasibility, "feasible_point", recording):
-        leaves = dict(walk_sign_vectors(base, witness, rows, dim))
+        leaves = dict(walk_sign_vectors(base, witness, rows, dim, [SWEEP_GUARD]))
     return leaves, solves
 
 
@@ -314,7 +340,7 @@ class TestWalkAgainstBruteForce:
 def test_a_forged_certificate_is_refused():
     held = ((1, 0), (-1, 0), (0, 1))
     basis = PhaseOneBasis(2)
-    assert feasible_point(held[:2], 2, basis) is None
+    assert feasible_point(held[:2], 2, [SWEEP_GUARD], basis) is None
     assert sorted(feasibility._certificate_support(held, basis, 2)) == [0, 1]
     basis.ids, basis.rhs, basis.den = [0, 2, ~2], [1, 1, 0], 2  # (1, 0) + (0, 1) != 0
     with pytest.raises(RuntimeError, match="certificate verification failed"):

@@ -197,3 +197,12 @@ def test_detects_an_except_clause_naming_a_class():
 def test_no_placement_error_is_caught(name):
     source = (ROOT / "src" / "chambers" / name).read_text()
     assert except_clauses_naming(source, "PlacementError") == []
+
+
+# One budget of work, `feasibility.SWEEP_GUARD`, decides what every exact
+# engine refuses; the grid's node guard goes when the grid does.  A size
+# constant for one engine fails here.
+def test_the_only_guards_are_the_work_budget_and_the_grid():
+    guards = [f"{p.name}: {name}" for p in SOURCES
+              for name in module_level_names(p.read_text()) if name.endswith("_GUARD")]
+    assert guards == ["feasibility.py: SWEEP_GUARD", "toric.py: GRID_NODE_GUARD"]

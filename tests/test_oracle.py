@@ -5,7 +5,8 @@ import pytest
 
 from chambers import feasibility, oracle, toric
 from chambers.generators import general_position, general_position_count
-from chambers.oracle import TooLargeError, count_regions_oracle, sign_vector_feasible
+from chambers.feasibility import TooLargeError
+from chambers.oracle import count_regions_oracle, sign_vector_feasible
 from chambers.projective import ProjArrangement, ValidationError, count_regions_projective
 
 TRIANGLE = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -56,9 +57,11 @@ class TestSignVectorFeasible:
             assert total % 2 == 0
 
     def test_guard(self):
-        arr = moment_curve(25, 2)
+        # one program in 92 variables charges 93^3 + 92 * 93 > 800,000 entries
+        arr = ProjArrangement(91, tuple(tuple(int(i == j) for j in range(92))
+                                        for i in range(92)))
         with pytest.raises(TooLargeError):
-            sign_vector_feasible(arr, (1,) * 25)
+            sign_vector_feasible(arr, (1,) * 92)
 
     def test_one_too_large_error_for_both_exact_engines(self):
         assert TooLargeError is toric.TooLargeError
@@ -108,3 +111,20 @@ class TestCountRegionsOracle:
         monkeypatch.setattr(oracle, "feasible_point", counting)
         assert count_regions_oracle(general_position(12, 3)) == general_position_count(12, 3)
         assert len(calls) == 352
+
+    def test_one_budget_for_every_program(self, monkeypatch):
+        # the 352 programs of GP(12, 3) charge 61,265 entries together
+        arr = general_position(12, 3)
+        monkeypatch.setattr(oracle, "SWEEP_GUARD", 61_265)
+        assert count_regions_oracle(arr) == general_position_count(12, 3)
+        monkeypatch.setattr(oracle, "SWEEP_GUARD", 61_264)
+        with pytest.raises(TooLargeError):
+            count_regions_oracle(arr)
+
+    def test_counts_by_work_not_by_n(self):
+        # 40 lines in general position take about 0.2 s, 24 planes of RP^5
+        # far more than the budget covers
+        arr = general_position(40, 2)
+        assert count_regions_oracle(arr) == count_regions_projective(arr) == 781
+        with pytest.raises(TooLargeError):
+            count_regions_oracle(general_position(24, 5))

@@ -127,9 +127,14 @@ class TestExactCounter:
         assert rep.glued_pairs >= 1
 
     def test_dimension_guard(self):
-        arr = make(5, ((1, 0, 0, 0, 0), Fraction(1, 2)))
+        # a program in T^d has d + 2 variables and is charged (d + 2)^3
+        # entries, so the cube engine refuses T^50 after a few programs
+        def halving(d):
+            return make(d, (tuple(int(i == 0) for i in range(d)), Fraction(1, 2)))
+
+        assert torus_decomposition(halving(5)).f == 1
         with pytest.raises(TooLargeError):
-            torus_decomposition(arr)
+            torus_decomposition(halving(50))
 
     def test_step_inside_a_parallel_hyperplane_is_an_internal_error(self):
         # z = (1, 1, 2) is the point (1/2, 1/2) on x_2 = 1/2, homogenized as
@@ -137,9 +142,14 @@ class TestExactCounter:
         with pytest.raises(RuntimeError):
             tc._stepped_signs([(0, 2, -1)], (1, 1, 2), 0, +1)
 
-    def test_lift_guard(self):
+    def test_lift_guard(self, monkeypatch):
+        # 26 lifted lines and the 5 rows of the square, in 3 variables
         arr = make(2, ((25, -1), Fraction(1, 2)))
-        with pytest.raises(TooLargeError):
+        assert torus_decomposition(arr).f == count_regions_toric(arr) == 1
+        monkeypatch.setattr(tc, "SWEEP_GUARD", 31 * 3)
+        assert len(lift_to_cube(arr)) == 26
+        monkeypatch.setattr(tc, "SWEEP_GUARD", 31 * 3 - 1)
+        with pytest.raises(TooLargeError, match="26 lifted"):
             torus_decomposition(arr)
 
 
@@ -161,7 +171,36 @@ def toric_arrangements(draw):
     return ToricArrangement(d, tuple(subtori))
 
 
+def t5_stream(seed=5):
+    """Seeded arrangements of 2 to 7 distinct subtori of T^5, with normals in
+    {-1, 0, 1}^5 and offsets in {0, 1/4, 1/2, 3/4}."""
+    rng = random.Random(seed)
+    while True:
+        keys = {}
+        n = rng.randint(2, 7)
+        while len(keys) < n:
+            a = tuple(rng.choice((-1, 0, 1)) for _ in range(5))
+            if any(a):
+                keys[subtorus(a, rng.randrange(4), 4)] = None
+        yield ToricArrangement(5, tuple(keys))
+
+
 class TestSweep:
+    def test_agrees_with_cube_engine_in_t5(self):
+        # the first 21 of the stream; the cube engine's budget refuses one,
+        # with 7 subtori and 26 lifted hyperplanes
+        counted, refused = [], []
+        for arr in t5_stream():
+            try:
+                counted.append((torus_decomposition(arr).f, count_regions_toric(arr)))
+            except TooLargeError:
+                refused.append((arr.n, len(lift_to_cube(arr))))
+            if len(counted) == 20:
+                break
+        assert all(cube == sweep for cube, sweep in counted)
+        assert any(cube > 1 for cube, _ in counted)
+        assert refused == [(7, 26)]
+
     @settings(deadline=None, max_examples=75)
     @given(toric_arrangements())
     def test_agrees_with_cube_engine(self, arr):
@@ -185,11 +224,17 @@ class TestSweep:
                    ((1, -2), Fraction(3, 4)), ((1, 2), 0))
         assert count_regions_toric(arr) == torus_decomposition(arr).f == 20
 
-    @pytest.mark.parametrize("n,d,k", [(20, 5, 2), (30, 6, 4), (40, 3, 9), (400, 2, 9)])
-    def test_construction_b_past_the_cube_guards(self, n, d, k):
+    @pytest.mark.parametrize("n,d,k,f", [(20, 5, 2, 32), (30, 6, 4, 52), (40, 3, 9, 83),
+                                         (400, 2, 9, None)])
+    def test_construction_b_past_the_cube_guards(self, n, d, k, f):
+        # the cube engine counts the first three and refuses the last by its
+        # budget; the sweep counts all four
         arr = toric_construction_b(n, d, k)
-        with pytest.raises(TooLargeError):
-            torus_decomposition(arr)
+        if f is None:
+            with pytest.raises(TooLargeError):
+                torus_decomposition(arr)
+        else:
+            assert torus_decomposition(arr).f == f
         assert count_regions_toric(arr) == 2 * (n - d) + k
 
     @pytest.mark.parametrize("n", [1, 2, 5])
