@@ -48,18 +48,20 @@ uniform grid, joins axis neighbours not separated by a subtorus, and
 reports the component count once two successive refinements agree.  Its
 stable answer can be wrong: on the T^2 circles {(1,-2), 0}, {(1,1), 3/4},
 {(1,-1), 0}, {(1,-2), 3/4}, {(1,2), 0} it gives 22, and the exact count is
-20.  The grid is the only code in the package that loads numpy, and it
-loads it on its first call, so importing `chambers` and every other engine
-run without it.
+20.  It walks the runs that the subtori cut along the lines of the grid,
+in pure Python, so its work grows with the crossings on each line rather
+than with the nodes; the package uses no third-party module.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, eq, floordiv, mul, sub
 from typing import Iterable, Sequence
 
 from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
@@ -292,24 +294,23 @@ def _enumerate_cells(dim: int, rows: Sequence[Vec],
     return list(walk_sign_vectors(cube_rows, root, rows, dim + 1, budget))
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.count = size
+def _component_count(size: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Connected components of the graph on nodes 0..size-1 with these edges.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
+    Union-find with path halving (Tarjan, *Efficiency of a good but not
+    linear set union algorithm*, J. ACM 22, 1975).
+    """
+    parent = list(range(size))
+    count = size
+    for p, q in edges:
+        while p != parent[p]:
+            parent[p] = p = parent[parent[p]]  # assigned left to right: parent[p], then p
+        while q != parent[q]:
+            parent[q] = q = parent[parent[q]]
+        if p != q:
+            parent[q] = p
+            count -= 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -338,8 +339,7 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
     budget = [SWEEP_GUARD]
     cells = _enumerate_cells(d, rows, budget)
     index = {signs: i for i, (signs, _) in enumerate(cells)}
-    uf = _UnionFind(len(cells))
-    glued = 0
+    glued = []
 
     for axis in range(d):
         if tuple(int(j == axis) for j in range(d + 1)) in rows:
@@ -349,86 +349,138 @@ def torus_decomposition(arr: ToricArrangement) -> TorusRegionDecomposition:
         for _, q in _enumerate_cells(d - 1, traces, budget):
             low = _stepped_signs(rows, q[:axis] + (0,) + q[axis:], axis, +1)
             high = _stepped_signs(rows, q[:axis] + (q[-1],) + q[axis:], axis, -1)
-            uf.union(index[low], index[high])
-            glued += 1
-    return TorusRegionDecomposition(len(cells), glued, uf.count)
+            glued.append((index[low], index[high]))
+    return TorusRegionDecomposition(len(cells), len(glued), _component_count(len(cells), glued))
 
 
 # ---------------------------------------------------------------------------
 # grid cross-check
 
 
+def _line_values(a: Vec, c: int, n: int) -> list[int]:
+    """a' . p - c for the prefix p of each line of the grid, in line order.
+
+    a' is a without its last entry; the lines run along the last axis and
+    their prefixes p in [0, n)^(d-1) are taken in `itertools.product` order.
+    """
+    values = [-c]
+    for x in a[:-1]:
+        values = list(chain.from_iterable(range(v, v + x * n, x) if x else repeat(v, n)
+                                          for v in values))
+    return values
+
+
 def _grid_component_count(arr: ToricArrangement, pitch_count: int) -> int:
     """Connected components of the shifted grid of pitch 1/pitch_count.
 
-    Neighbours along axis i, the wrap included, are joined unless a subtorus
-    separates them; no subtorus with a_i = 0 can.  The nodes of each line
-    along the last axis fall into runs of joined neighbours, numbered in
-    order, and a line's last run joins its first when the wrap is open.
-    Each open edge along another axis joins two runs; the distinct pairs go
-    to a union-find over the runs (Tarjan, *Efficiency of a good but not
-    linear set union algorithm*, J. ACM 22, 1975), whose count is returned.
-    numpy is imported here, its only use in the package, so a process pays
-    for loading it on its first grid call and not before.
+    With N = pitch_count, node k in [0, N)^d samples x = (k + s) / N, where
+    s_i = 1 / (2 B^(i+1)) and B is 2 plus the sum of |a|_1 over the
+    subtori.  Neighbours along axis i, the wrap from N - 1 to 0 included,
+    are joined unless some subtorus {a . x = c} separates them, that is
+    unless floor(a . x - c) differs between them, taken past 1 at the wrap
+    (where a . x grows by a_i).  The floor is exactly (a . k - cN) // N for
+    a canonical key: N (a . x - c) = a . k - cN + a . s, where
+    a . s = phi / (2 B^d) with phi = sum_i a_i B^(d-1-i), and 0 < phi < B^d
+    because the leading entry of a is positive and B exceeds |a|_1.  So the
+    shift adds less than 1/2 to an integer and never carries it past a
+    multiple of N.  The closed rule: with r = (a . k - cN) mod N, the edge
+    from k along axis i is blocked iff r + a_i lies outside [0, N).
+
+    The count walks runs, not nodes.  Along a line of the last axis, with r
+    taken at the line's first node, a subtorus whose last entry is b blocks
+    the steps j -> j + 1 with j = (M N - r - 1) // b for M = 1..b when
+    b > 0, and j = (r + M N) // |b| for M = 0..|b| - 1 when b < 0, |b|
+    steps in all (some coincide only when |b| > N).  The blocked steps cut
+    each line into runs, and a line's last run joins its first when its
+    wrap is open.  Every floor is constant on a run.  Across an edge along
+    another axis i, the floor of subtorus s moves by an
+    amount of the sign of a_(s,i), or not at all, and the edge is open iff
+    no floor moves.  So a run carries, for each such axis, the code
+    sum_s sign(a_(s,i)) floor_s, which the edge moves by the sum of the
+    floors' moves in absolute value: two runs that face each other on
+    neighbouring lines are joined iff their codes agree, the tail's less
+    sum_s |a_(s,i)| at the wrap.  The facing pairs come from the run starts
+    of both lines, and union-find over the runs counts the components.
+
+    The walk takes about N^(d-1) sum_s sum_i (|a_(s,i)| + 1) steps.  That
+    bound and the N^d nodes are each checked against GRID_NODE_GUARD before
+    any line is made.
     """
-    import numpy as np
+    d, n = arr.d, pitch_count
+    if n ** d > GRID_NODE_GUARD:
+        raise TooLargeError(f"grid of {n ** d} nodes exceeds the guard")
+    lines = n ** (d - 1)
+    steps = lines * sum(abs(x) + 1 for a, _, _ in arr.subtori for x in a)
+    if steps > GRID_NODE_GUARD:
+        raise TooLargeError(f"grid walk of about {steps} steps exceeds the guard")
 
-    d = arr.d
-    big_b = 2 + sum(sum(abs(a) for a in normal) for normal, _, _ in arr.subtori)
-    scale = 2 * big_b ** d  # shift s_i = 1 / (2 B^i) in pitch units
-    if pitch_count ** d > GRID_NODE_GUARD:
-        raise TooLargeError(f"grid of {pitch_count ** d} nodes exceeds the guard")
-
-    # int64 safety: the largest scaled value is bounded by scale * (|a| + 1) * N
-    worst = max(
-        scale * pitch_count * (sum(abs(a) for a in normal) + 1)
-        for normal, _, _ in arr.subtori)
-    if worst >= 2 ** 62:
-        raise TooLargeError("grid arithmetic would overflow int64")
-
-    def along(i: int, part: slice) -> tuple[slice, ...]:
-        return (slice(None),) * i + (part,) + (slice(None),) * (d - 1 - i)
-
-    # (tail, head) indices of the edges along each axis: the inner ones, then the wrap
-    edges = [[(along(i, slice(-1)), along(i, slice(1, None))),
-              (along(i, slice(-1, None)), along(i, slice(1)))] for i in range(d)]
-    coords = [np.arange(pitch_count, dtype=np.int64).reshape((1,) * i + (-1,) + (1,) * (d - 1 - i))
-              for i in range(d)]
-    shape = (pitch_count,) * d
-    blocked = [np.zeros(shape, dtype=bool) for _ in range(d)]
-    for normal, num, den in arr.subtori:
-        c_scaled, rest = divmod(num * pitch_count, den)
+    # node j of line L has the key L 2N + j; the keys L 2N + N, one past each
+    # line's end, are where a step blocked across the wrap puts its run start
+    size = 2 * n * lines
+    firsts, ends = range(0, size, 2 * n), range(n, size, 2 * n)
+    keys = []  # the run start after each blocked step, then each line's first node
+    # along axis i: the change of code at each key, each line's first code,
+    # the code gained over a whole line and the code a wrap step loses
+    changes = [[] for _ in range(d - 1)]
+    first_codes = [[0] * lines for _ in range(d - 1)]
+    rises, drops = [0] * (d - 1), [0] * (d - 1)
+    for a, num, den in arr.subtori:
+        c, rest = divmod(num * n, den)
         if rest:
             raise RuntimeError("grid pitch must clear offset denominators")
-        phi = sum(a * big_b ** (d - 1 - i) for i, a in enumerate(normal))
-        values = -c_scaled * scale + phi  # broadcast: axes with a_i = 0 keep length 1
-        for i, a in enumerate(normal):
-            if a:
-                values = values + (a * scale) * coords[i]
-        floors = values // (scale * pitch_count)
-        for i, a in enumerate(normal):
-            if a:  # crossing the wrap adds a_i to a . x
-                for (tail, head), shift in zip(edges[i], (0, a)):
-                    blocked[i][tail] |= floors[tail] != floors[head] + shift
+        values = _line_values(a, c, n)
+        b = a[-1]
+        if b > 0:
+            ms = range(n, (b + 1) * n, n)
+            cut = [f - (v % n - m) // b for f, v in zip(firsts, values) for m in ms]
+        elif b < 0:
+            ms = range(0, -b * n, n)
+            cut = [f + (v % n + m) // -b + 1 for f, v in zip(firsts, values) for m in ms]
+        else:
+            cut = []
+        keys += cut
+        floors = list(map(floordiv, values, repeat(n)))
+        for i, x in enumerate(a[:-1]):
+            sign = (x > 0) - (x < 0)
+            changes[i] += repeat(sign if b > 0 else -sign, len(cut))
+            if sign:
+                first_codes[i] = list(map(add if sign > 0 else sub, first_codes[i], floors))
+                rises[i] += sign * b
+                drops[i] += abs(x)
+    keys += firsts
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = list(map(keys.__getitem__, order))
 
-    starts = np.ones(shape, dtype=bool)
-    starts[..., 1:] = blocked[-1][..., :-1]
-    run = np.cumsum(starts).reshape(shape) - 1
-    runs = int(run.flat[-1]) + 1
-    tails, heads = [], []
-    for i in range(d):
-        for tail, head in edges[i] if i < d - 1 else edges[i][1:]:  # inner edges stay in a run
-            open_edge = ~blocked[i][tail]
-            tails.append(run[tail][open_edge])
-            heads.append(run[head][open_edge])
-    tails, heads = np.concatenate(tails), np.concatenate(heads)
-    # runs <= GRID_NODE_GUARD, so the keys stay below 1e12
-    keys = np.unique(np.minimum(tails, heads) * runs + np.maximum(tails, heads))
-    lows, highs = np.divmod(keys, runs)
-    uf = _UnionFind(runs)
-    for lo, hi in zip(lows.tolist(), highs.tolist()):
-        uf.union(lo, hi)
-    return uf.count
+    starts = sorted(set(ordered).difference(ends))  # run r holds the keys from starts[r]
+    later = starts[1:]  # bisect_right(later, key) is the run holding key
+    runs = range(len(starts))
+    wrapping = [end - n for end in set(ends).difference(ordered)]  # lines whose wrap is open
+    pairs = [zip(map(bisect_right, repeat(later), wrapping),
+                 map(bisect_right, repeat(later), map(add, wrapping, repeat(n - 1))))]
+    for i in range(d - 1):
+        stride = 2 * n * n ** (d - 2 - i)  # from a key to its neighbour along axis i
+        block = n * stride
+        ahead = [x + stride if x % block < block - stride else x + stride - block for x in starts]
+        lone = list(set(starts).difference(ahead))  # run starts that no run start faces
+        behind = [y - stride if y % block >= stride else y - stride + block for y in lone]
+        behind_runs = list(map(bisect_right, repeat(later), behind))
+        head_runs = list(map(bisect_right, repeat(later), chain(ahead, lone)))
+        del ahead, lone, behind  # keys; only run numbers are kept to the end
+        fc, rise = first_codes[i], rises[i]
+        changes[i] += [fc[0], *map(sub, fc[1:], map(add, fc, repeat(rise)))]
+        # totals[k]: the code after the first k changes in key order
+        totals = [0, *accumulate(map(changes[i].__getitem__, order))]
+        code = list(map(totals.__getitem__, map(bisect_right, repeat(ordered), starts)))
+        want = code  # the code a head run needs to join each tail run
+        if drops[i]:
+            want = code[:]
+            for f in range(block - stride, size, block):  # the lines whose step wraps
+                r0, r1 = bisect_left(starts, f), bisect_left(starts, f + stride)
+                want[r0:r1] = map(sub, code[r0:r1], repeat(drops[i]))
+        pairs.append(compress(zip(chain(runs, behind_runs), head_runs),
+                              map(eq, chain(want, map(want.__getitem__, behind_runs)),
+                                  map(code.__getitem__, head_runs))))
+    return _component_count(len(starts), chain.from_iterable(pairs))
 
 
 def count_regions_toric_grid(arr: ToricArrangement, refinement: int = 1) -> int:

@@ -551,16 +551,16 @@ def fresh_python(script, *argv):
 
 
 class TestColdStart:
-    """Only the grid heuristic loads numpy, and nothing loads scipy; no CLI
-    count loads either."""
+    """Nothing in the package loads numpy or scipy: neither a CLI count nor
+    the grid heuristic, the last code that used numpy."""
 
     def test_counts_load_neither_numpy_nor_scipy(self, triangle_file, toric_file):
         counts, loaded = fresh_python(COUNT_IN_FRESH_PROCESS, triangle_file, toric_file)
         assert counts == [[0, 4], [0, 4], [0, 7], [0, 7]]
         assert loaded == []
 
-    def test_the_grid_loads_numpy_alone(self):
-        assert fresh_python(GRID_IN_FRESH_PROCESS) == ["numpy"]
+    def test_the_grid_loads_neither_numpy_nor_scipy(self):
+        assert fresh_python(GRID_IN_FRESH_PROCESS) == []
 
 
 def invoke(argv):

@@ -367,14 +367,20 @@ def reference_grid_count(arr, pitch):
 
 
 def random_grid_case(rng, d):
-    """A seeded arrangement of T^d and a pitch that clears its denominators."""
+    """A seeded arrangement of T^d and a pitch that clears its denominators.
+
+    In T^4 the offsets are halves and the pitch at most 4, so that the
+    reference's BFS stays within a few hundred nodes.
+    """
+    dens, most = {1: ((1, 2, 3, 4), 6), 2: ((1, 2, 3, 4), 3), 3: ((1, 2, 3, 4), 1),
+                  4: ((1, 2), 2)}[d]
     keys, n = set(), rng.randint(1, 4)
     while len(keys) < n:
         a = tuple(rng.randint(-2, 2) for _ in range(d))
         if any(a) and gcd(*a) == 1:
-            den = rng.choice((1, 2, 3, 4))
+            den = rng.choice(dens)
             keys.add(subtorus(a, rng.randrange(den), den))
-    pitch = lcm(*(den for _, _, den in keys)) * rng.randint(1, {1: 6, 2: 3, 3: 1}[d])
+    pitch = lcm(*(den for _, _, den in keys)) * rng.randint(1, most)
     return ToricArrangement(d, tuple(sorted(keys))), pitch
 
 
@@ -390,11 +396,19 @@ class TestGridAgainstReference:
         (make(2, ((0, 1), Fraction(1, 2))), 4, 1),  # every line's two runs join at the wrap
         (make(2, ((0, 1), 0), ((0, 1), Fraction(1, 2))), 4, 2),
         (make(3, ((0, 0, 1), 0)), 1, 1),  # one node, and each wrap is a loop
+        (make(2, ((1, -1), 0), ((1, -1), Fraction(1, 2))), 4, 2),  # a negative later entry
+        (make(2, ((1, -3), Fraction(1, 3)), ((0, 1), 0)), 6, 1),
+        (make(2, ((1, 2), 0)), 2, 2),  # |a_last| is the pitch: every step along it is blocked
+        (make(2, ((2, 1), 0)), 2, 2),  # |a_0| is the pitch: every step along it is blocked
+        (make(3, ((1, -1, 0), 0), ((1, -1, 0), Fraction(1, 2))), 4, 2),  # a_last = 0
+        (make(3, ((0, 1, 0), Fraction(1, 3)), ((1, 0, 0), 0)), 3, 1),
+        (make(1, ((1,), 0), ((1,), Fraction(1, 3)), ((1,), Fraction(1, 2))), 6, 3),
+        (make(1, *(((1,), Fraction(k, 8)) for k in range(8))), 8, 8),  # every step blocked
     ])
     def test_hand_cases(self, arr, pitch, expected):
         assert tc._grid_component_count(arr, pitch) == reference_grid_count(arr, pitch) == expected
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_seeded_cases(self, d):
         rng = random.Random(d)
         for _ in range(25):
@@ -415,6 +429,15 @@ class TestGridAgainstReference:
         start = time.perf_counter()
         with pytest.raises(TooLargeError, match="12960000 nodes"):
             tc._grid_component_count(arr, 60)
+        assert time.perf_counter() - start < 0.1
+
+    def test_refuses_a_grid_walk_too_long_to_take(self):
+        # 10^6 nodes pass the node guard, but with 24 circles whose last
+        # entries are near 1000 the walk's bound is 23,796 steps per line
+        arr = make(2, *(((1, 1000 - k), 0) for k in range(24)))
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="grid walk of about 23796000 steps"):
+            tc._grid_component_count(arr, 1000)
         assert time.perf_counter() - start < 0.1
 
 
