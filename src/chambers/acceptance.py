@@ -28,6 +28,8 @@ Criteria (all required unless marked stretch):
    cross-checked by the cube engine;
 6. zero violations of the four lower bounds over the whole registry,
    checked after every other selected criterion (an empty registry fails);
+   an entry's point multiplicity m is computed only when its count does not
+   meet the three m-dependent bounds at every m in [d, n];
 7. sharpness: the homological bound met with equality by the parallel
    toric family (each count cross-checked by the cube engine), McMullen's
    bound by iterated cones over near-pencils;

@@ -2,10 +2,14 @@
 
 Pure exact functions.  Bounds may be fractional; comparisons against the
 integer region count f always go through the ceiling, exposed on
-`BoundValue`.  `CLAIMS` is the one statement of each spectrum claim: its
-space, its range, its default cap and its values up to a cap.  `predicted`
-reads a row inside its range, `projective_claim` picks the row a projective
-search is checked against, and `chambers spectrum` lists one row per mode.
+`BoundValue`.  Three bounds depend on the point multiplicity m, which costs
+a walk over the arrangement to find; `multiplicity_bounds_hold_for_every_m`
+decides from n, d and f alone whether f meets them at every possible m, and
+only when it does not is m worth computing.  `CLAIMS` is the one statement
+of each spectrum claim: its space, its range, its default cap and its values
+up to a cap.  `predicted` reads a row inside its range, `projective_claim`
+picks the row a projective search is checked against, and `chambers
+spectrum` lists one row per mode.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
+
+from .feasibility import SWEEP_GUARD, TooLargeError
 
 
 class OutOfTheoremRangeError(ValueError):
@@ -139,6 +145,61 @@ def bound_quadratic(n: int, d: int, m: int) -> BoundValue:
     return BoundValue(Fraction(2 * (n * n - n), m - d + 5))
 
 
+def _log2_falling(a: int, k: int) -> float:
+    """At least log2 of a (a-1) ... (a-k+1), for 0 <= k <= a."""
+    if a >= 2 ** 32:  # beyond this lgamma's rounding error grows past the margin
+        return k * a.bit_length()
+    return (math.lgamma(a + 1) - math.lgamma(a - k + 1)) / math.log(2) + 1
+
+
+def _log2_comb(a: int, k: int) -> float:
+    """At least log2 C(a, k), for 0 <= k <= a."""
+    k = min(k, a - k)
+    if a >= 2 ** 32:
+        return k * a.bit_length()
+    return _log2_falling(a, k) - math.lgamma(k + 1) / math.log(2)
+
+
+def bound_bits(n: int, d: int, m: int | None = None) -> int:
+    """An upper bound on the bit length of every numerator and denominator
+    of the homological and McMullen bounds at (n, d) and, when m is given,
+    of the three bounds at m; for 1 <= d < n and d <= m <= n, found without
+    computing any of them.
+
+    McMullen's (n-d+1) 2^(d-1) has the most bits of the first three, and the
+    product bound's (n-m+1)(m-d+2) 2^(d-2) more than the quadratic bound.
+    The sum bound is (m-d+1) sum_j C(n, d-2j) / C(m-2j, d-2j), and its value
+    is at most (m-d+1)(d//2+1) times the largest C(n, k) with k <= d.  Each
+    denominator divides both m! / (m-d)! and lcm(1, ..., m) (Kummer's
+    theorem on the primes dividing a binomial), and so does the reduced
+    one.  The log of that lcm is Chebyshev's psi(m) < 1.03883 m (Rosser and
+    Schoenfeld, Illinois J. Math. 6, 1962), which is under 1.5 m bits.
+    """
+    bits = d + n.bit_length() + 1
+    if m is not None:
+        numerator = (m.bit_length() + d.bit_length() + _log2_comb(n, min(d, n // 2))
+                     + min(_log2_falling(m, d), 1.5 * m))
+        bits = max(bits, d + 2 * n.bit_length() + 1, math.ceil(numerator) + 1)
+    return bits
+
+
+def multiplicity_bounds_hold_for_every_m(n: int, d: int, f: int) -> bool:
+    """Whether f meets the sum, product and quadratic bounds at every m in
+    [d, n], so that they hold whatever the arrangement's m is (d >= 2).
+
+    Each bound takes its largest value over [d, n] at a point named here.
+    The sum bound is (m-d+1) C(n, 0) for even d, plus C(n, 1) for odd d,
+    plus terms C(n, k) k! / ((m-d+k) ... (m-d+2)) for k >= 2, each convex in
+    m, so its top is at m = d or m = n.  The product bound is a concave
+    quadratic in m with its top at (n+d-1)/2, so at the floor or the ceiling
+    of that.  The quadratic bound decreases in m, so its top is at m = d.
+    """
+    middle = {min(max(m, d), n) for m in ((n + d - 1) // 2, (n + d) // 2)}
+    return (all(bound_multiplicity_sum(n, d, m).holds_for(f) for m in (d, n))
+            and all(bound_multiplicity_product(n, d, m).holds_for(f) for m in middle)
+            and bound_quadratic(n, d, d).holds_for(f))
+
+
 # ---------------------------------------------------------------------------
 # predicted spectra
 
@@ -147,7 +208,9 @@ class Claim(NamedTuple):
     """One spectrum claim of the paper, for n hypersurfaces in `space`: its
     range, as text and as `in_range(n, d)`; `d`, the one dimension it speaks
     of, or None; its default `cap(n, d)`; `values(n, d, cap)`, increasing,
-    at least those up to cap; and its `chambers spectrum` mode and help."""
+    at least those up to cap; its `chambers spectrum` mode and help; and
+    whether it is `endless`, with values past every cap, so that a listing
+    up to a cap may hold as many values as the cap."""
 
     space: str
     d: int | None
@@ -157,6 +220,7 @@ class Claim(NamedTuple):
     values: Callable[[int, int, int], list[int]]
     flag: str
     help: str
+    endless: bool = False
 
 
 # (slope, intercept) pairs: counts of the form slope * n + intercept
@@ -189,7 +253,7 @@ CLAIMS: dict[str, Claim] = {
         "toric", None, "n >= 2, d >= 2", lambda n, d: n >= 2 and d >= 2,
         lambda n, d: 2 * n,
         lambda n, d, cap: [f for f in range(1, cap + 1) if toric_spectrum_contains(n, d, f)],
-        "toric", "predicted toric spectrum up to --cap"),
+        "toric", "predicted toric spectrum up to --cap", endless=True),
     "martinov": Claim(
         "projective", 2, "d = 2, n >= 7", lambda n, d: d == 2 and n >= 7,
         lambda n, d: 4 * n - 12,
@@ -201,12 +265,17 @@ CLAIMS: dict[str, Claim] = {
 def predicted(name: str, n: int, d: int, cap: int | None = None) -> tuple[int, list[int]]:
     """(cap, values): the claim's values at (n, d) up to cap, increasing, and
     the cap, which is the claim's default when `cap` is None.  Raises
-    OutOfTheoremRangeError outside the claim's range."""
+    OutOfTheoremRangeError outside the claim's range, and TooLargeError,
+    before any value is listed, when an endless claim's listing could hold
+    more than `SWEEP_GUARD` values."""
     claim = CLAIMS[name]
     if not claim.in_range(n, d):
         raise OutOfTheoremRangeError(f"(n, d) = ({n}, {d}) outside {claim.range}")
     if cap is None:
         cap = claim.cap(n, d)
+    if claim.endless and cap > SWEEP_GUARD:
+        raise TooLargeError(f"a listing of {name} up to cap {cap} could hold more "
+                            f"than {SWEEP_GUARD} values")
     values = claim.values(n, d, cap)
     if any(a >= b for a, b in zip(values, values[1:])):
         raise RuntimeError(f"{name} values not increasing at (n, d) = ({n}, {d})")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -77,19 +78,31 @@ def cmd_count(args) -> int:
     return 0
 
 
+# An int of at most this many bits has at most Python's default 4300 decimal
+# digits, beyond which an int does not convert to text.
+PRINTABLE_BITS = int(sys.int_info.default_max_str_digits * math.log2(10))
+
+
 def cmd_bounds(args) -> int:
+    n, d, m = args.n, args.d, args.m
+    if 1 <= d < n and (m is None or d <= m <= n):
+        bits = bd.bound_bits(n, d, m)
+        if bits > PRINTABLE_BITS:
+            at = f"n = {n}, d = {d}" + ("" if m is None else f", m = {m}")
+            raise ValueError(f"the bounds at {at} could take up to {bits} bits, more "
+                             f"than the {sys.int_info.default_max_str_digits} digits "
+                             "a value may print in")
     rows = []
     manifold_bounds = [
-        ("homological_rp", bd.bound_homological(args.n, bd.projective_space(args.d))),
-        ("homological_torus", bd.bound_homological(args.n, bd.torus(args.d))),
-        ("mcmullen", bd.bound_mcmullen(args.n, args.d)),
+        ("homological_rp", bd.bound_homological(n, bd.projective_space(d))),
+        ("homological_torus", bd.bound_homological(n, bd.torus(d))),
+        ("mcmullen", bd.bound_mcmullen(n, d)),
     ]
-    if args.m is not None:
+    if m is not None:
         manifold_bounds += [
-            ("multiplicity_sum", bd.bound_multiplicity_sum(args.n, args.d, args.m)),
-            ("multiplicity_product",
-             bd.bound_multiplicity_product(args.n, args.d, args.m)),
-            ("quadratic", bd.bound_quadratic(args.n, args.d, args.m)),
+            ("multiplicity_sum", bd.bound_multiplicity_sum(n, d, m)),
+            ("multiplicity_product", bd.bound_multiplicity_product(n, d, m)),
+            ("quadratic", bd.bound_quadratic(n, d, m)),
         ]
     for name, bound in manifold_bounds:
         rows.append({"bound": name, "value": format_rational(bound.value),
@@ -178,7 +191,8 @@ def _build_from_args(args):
             coincidences=coincidences, line_in_union=line_in_union)
     else:  # toric-a or toric-b
         k = args.k or 0
-        offsets = [parse_rational(c) for c in args.offsets] if args.offsets else None
+        offsets = ([parse_rational(c, "--offsets") for c in args.offsets]
+                   if args.offsets else None)
         if family == "toric-a":
             arr = gn.toric_construction_a(args.n, args.d, k, offsets)
             expected = args.n - k

@@ -2,9 +2,10 @@
 
 Every geometric module in this package does its arithmetic here.  Vectors
 are tuples of Python ints and matrices are sequences of integer rows.
-Rationals occur only at the input boundary: `parse_rational` reads them,
-`format_rational` prints them, and a caller with a rational row clears its
-denominators before the row comes here.
+Rationals occur only at the input boundary: `parse_rational` reads them by
+the one number grammar that `parse_int` reads integers by, `format_rational`
+prints them, and a caller with a rational row clears its denominators before
+the row comes here.
 
 Elimination is fraction free in two ways.  `echelon_insert`, which builds the
 canonical echelon forms that identify flats, cross-multiplies and then keeps
@@ -19,6 +20,8 @@ runs.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -34,28 +37,59 @@ class ZeroVectorError(ValueError):
 # rationals
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (decimal integers) into an exact Fraction."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational like \"p/q\", got {text!r}")
+# The number grammar at the input boundary: ASCII digits with an optional
+# sign, and a rational is such an integer or one over a positive one.  No
+# exponent, underscore, decimal point, whitespace or non-ASCII digit.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _shown(value) -> str:
+    """repr(value), cut short when long."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _digits(text: str, field: str) -> int:
+    """int(text) for text of the grammar; Python's limit on the digits an int
+    may be read from (4300 by default) applies, and its error names `field`."""
     try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"rational {text!r} has a zero denominator") from None
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{field}: {len(text.lstrip('+-'))} digits, more than the "
+                         f"{sys.get_int_max_str_digits()} an integer may have") from None
 
 
-def parse_int(value) -> int:
-    """An int from a JSON integer or decimal string; floats and bools are refused."""
+def parse_rational(text: str, field: str) -> Fraction:
+    """Parse "p/q" or "p" (ASCII decimal integers, q > 0) into an exact
+    Fraction; an error names `field`, where the text came from."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"{field}: expected a rational like \"p/q\", got {_shown(text)}")
+    p, q = match.groups()
+    den = 1 if q is None else _digits(q, field)
+    if den == 0:
+        raise ValueError(f"{field}: rational {_shown(text)} has a zero denominator")
+    return Fraction(_digits(p, field), den)
+
+
+def parse_int(value, field: str) -> int:
+    """An int from a JSON integer or a decimal string of ASCII digits with an
+    optional sign; floats, bools and any other string are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+        raise ValueError(f"{field}: expected an integer, got {_shown(value)}")
+    if isinstance(value, int):
+        return value
+    if not _INTEGER.fullmatch(value):
+        raise ValueError(f"{field}: expected a decimal integer, got {_shown(value)}")
+    return _digits(value, field)
 
 
-def parse_int_vector(value) -> Vec:
+def parse_int_vector(value, field: str) -> Vec:
     """An integer vector from a JSON list of integers or decimal strings."""
     if not isinstance(value, list):
-        raise ValueError(f"expected a list of integers, got {value!r}")
-    return tuple(parse_int(x) for x in value)
+        raise ValueError(f"{field}: expected a list of integers, got {_shown(value)}")
+    return tuple(parse_int(x, field) for x in value)
 
 
 def json_field(data, key: str, kind: type | tuple[type, ...] = object):

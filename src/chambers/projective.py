@@ -119,8 +119,9 @@ class ProjArrangement:
     def from_json(data: dict) -> "ProjArrangement":
         if json_field(data, "type") != "projective":
             raise ValueError("not a projective arrangement file")
-        covs = tuple(parse_int_vector(u) for u in json_field(data, "covectors", list))
-        return ProjArrangement(parse_int(json_field(data, "d")), covs)
+        covs = tuple(parse_int_vector(u, f"covectors[{i}]")
+                     for i, u in enumerate(json_field(data, "covectors", list)))
+        return ProjArrangement(parse_int(json_field(data, "d"), "d"), covs)
 
 
 @dataclass(frozen=True)

@@ -308,23 +308,27 @@ def verify_bounds_batch(items) -> list[BoundViolation]:
     """Check every (arrangement, count) pair against all applicable bounds.
 
     Projective arrangements are checked against the homological bound for
-    RP^d and the three multiplicity bounds, whose m comes from
-    `max_point_multiplicity`, a branch and bound that counts no regions and
-    builds no intersection poset; toric ones against the homological bound
-    for T^d and spectrum membership.
+    RP^d and the three multiplicity bounds; toric ones against the
+    homological bound for T^d and spectrum membership.  The multiplicity
+    bounds need the arrangement's m only when f does not meet them at every
+    m in [d, n] (`bounds.multiplicity_bounds_hold_for_every_m`), or when
+    d < 2; only then is m computed, by `max_point_multiplicity`, a branch
+    and bound that counts no regions and builds no intersection poset.
     Violations are returned as data, never raised.
     """
     violations = []
     for idx, (arr, f) in enumerate(items):
         if isinstance(arr, ProjArrangement):
             label = f"projective[{idx}] n={arr.n} d={arr.d}"
-            m = max_point_multiplicity(arr)
-            checks = [
-                ("homological_rp", bd.bound_homological(arr.n, bd.projective_space(arr.d))),
-                ("multiplicity_sum", bd.bound_multiplicity_sum(arr.n, arr.d, m)),
-                ("multiplicity_product", bd.bound_multiplicity_product(arr.n, arr.d, m)),
-                ("quadratic", bd.bound_quadratic(arr.n, arr.d, m)),
-            ]
+            checks = [("homological_rp",
+                       bd.bound_homological(arr.n, bd.projective_space(arr.d)))]
+            if arr.d < 2 or not bd.multiplicity_bounds_hold_for_every_m(arr.n, arr.d, f):
+                m = max_point_multiplicity(arr)
+                checks += [
+                    ("multiplicity_sum", bd.bound_multiplicity_sum(arr.n, arr.d, m)),
+                    ("multiplicity_product", bd.bound_multiplicity_product(arr.n, arr.d, m)),
+                    ("quadratic", bd.bound_quadratic(arr.n, arr.d, m)),
+                ]
             for name, bound in checks:
                 if not bound.holds_for(f):
                     violations.append(BoundViolation(label, name, bound.ceil, f))

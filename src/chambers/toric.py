@@ -151,9 +151,10 @@ class ToricArrangement:
     def from_json(data: dict) -> "ToricArrangement":
         if json_field(data, "type") != "toric":
             raise ValueError("not a toric arrangement file")
-        subs = [(parse_int_vector(json_field(s, "a")), parse_rational(json_field(s, "c")))
-                for s in json_field(data, "subtori", list)]
-        return ToricArrangement.make(parse_int(json_field(data, "d")), subs)
+        subs = [(parse_int_vector(json_field(s, "a"), f"subtori[{i}].a"),
+                 parse_rational(json_field(s, "c"), f"subtori[{i}].c"))
+                for i, s in enumerate(json_field(data, "subtori", list))]
+        return ToricArrangement.make(parse_int(json_field(data, "d"), "d"), subs)
 
 
 def lift_to_cube(arr: ToricArrangement) -> list[Vec]:

@@ -96,6 +96,41 @@ class TestQuadraticBound:
         assert b.ceil == 95
 
 
+class TestMultiplicityBoundsForEveryM:
+    def test_agrees_with_a_scan_over_every_m(self):
+        # S, the largest ceiling of the three bounds over every m in [d, n],
+        # is the least f that meets them whatever m is
+        for d in range(2, 11):
+            for n in range(d + 1, 61):
+                top = max(max(bd.bound_multiplicity_sum(n, d, m).ceil,
+                              bd.bound_multiplicity_product(n, d, m).ceil,
+                              bd.bound_quadratic(n, d, m).ceil)
+                          for m in range(d, n + 1))
+                assert bd.multiplicity_bounds_hold_for_every_m(n, d, top), (n, d)
+                assert not bd.multiplicity_bounds_hold_for_every_m(n, d, top - 1), (n, d)
+
+    def test_n_equal_to_d(self):
+        # the only m is d; (n + d - 1) // 2 = d - 1 is clipped to it
+        top = max(bd.bound_multiplicity_sum(4, 4, 4).ceil,
+                  bd.bound_multiplicity_product(4, 4, 4).ceil, bd.bound_quadratic(4, 4, 4).ceil)
+        assert bd.multiplicity_bounds_hold_for_every_m(4, 4, top)
+        assert not bd.multiplicity_bounds_hold_for_every_m(4, 4, top - 1)
+
+
+def test_bound_bits_is_an_upper_bound():
+    def bits(bound):
+        return max(abs(bound.value.numerator).bit_length(), bound.value.denominator.bit_length())
+
+    cases = [(n, d) for n in range(2, 26) for d in range(1, n)]
+    for n, d in cases + [(400, 200), (1200, 600), (10 ** 12, 3)]:
+        assert bd.bound_bits(n, d) >= bits(bd.bound_mcmullen(n, d)), (n, d)
+        for m in sorted({d, d + 1, (n + d) // 2, n}):
+            bounds = [bd.bound_multiplicity_sum(n, d, m), bd.bound_quadratic(n, d, m)]
+            if d >= 2:
+                bounds.append(bd.bound_multiplicity_product(n, d, m))
+            assert bd.bound_bits(n, d, m) >= max(map(bits, bounds)), (n, d, m)
+
+
 class TestFirstFourCounts:
     def test_d3_n11(self):
         assert bd.first_four_counts(11, 3) == [36, 48, 50, 56]
@@ -231,6 +266,24 @@ class TestClaims:
         with pytest.raises(bd.OutOfTheoremRangeError) as info:
             bd.predicted(name, n, d)
         assert str(info.value) == message
+
+    def test_an_endless_listing_past_the_guard_is_refused_before_it_is_made(self,
+                                                                             monkeypatch):
+        row = bd.CLAIMS["toric_spectrum"]
+        listed = []
+        monkeypatch.setitem(bd.CLAIMS, "toric_spectrum", row._replace(
+            values=lambda n, d, cap: listed.append(cap) or [cap]))
+        assert bd.predicted("toric_spectrum", 4, 2, bd.SWEEP_GUARD) == (bd.SWEEP_GUARD,
+                                                                        [bd.SWEEP_GUARD])
+        message = f"up to cap {bd.SWEEP_GUARD + 1} could hold more"
+        with pytest.raises(bd.TooLargeError, match=message):
+            bd.predicted("toric_spectrum", 4, 2, bd.SWEEP_GUARD + 1)
+        assert listed == [bd.SWEEP_GUARD]
+
+    def test_only_the_toric_claim_is_endless(self):
+        assert [name for name, row in bd.CLAIMS.items() if row.endless] == ["toric_spectrum"]
+        cap = 10 ** 9
+        assert bd.predicted("first_four", 11, 3, cap) == (cap, bd.first_four_counts(11, 3))
 
     def test_values_that_do_not_increase_are_an_internal_error(self, monkeypatch):
         row = bd.CLAIMS["first_four"]

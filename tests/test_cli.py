@@ -226,6 +226,90 @@ class TestCount:
         assert captured.err == f"error: {violation}\n"
 
 
+# Inputs that reach a reader or a listing: each is refused, exit 2 within a
+# second, by a message that names the field, the flag or the size at fault.
+NOT_RATIONALS = ["1_0/3", "0.5", " 1/2", "1/2 ", "1e10000000", "\u0663", "1/-2", "1/+2",
+                 "1" * 5000, "1/" + "1" * 5000, "1/0"]
+NOT_INTEGERS = ["1_0", "\u0663", " 7 ", "1e3", "7.0", "1" * 5000]
+
+
+class TestDoor:
+    @staticmethod
+    def refused(capsys, argv, named):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+
+    @pytest.mark.parametrize("text", NOT_RATIONALS)
+    def test_toric_offset_outside_the_grammar(self, capsys, tmp_path, text):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"type": "toric", "d": 2, "subtori": [
+            {"a": ["1", "0"], "c": "1/3"}, {"a": ["0", "1"], "c": text}]}))
+        self.refused(capsys, ["count", str(path)], "subtori[1].c: ")
+
+    @pytest.mark.parametrize("text", NOT_INTEGERS)
+    def test_toric_normal_entry_outside_the_grammar(self, capsys, tmp_path, text):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"type": "toric", "d": 2, "subtori": [
+            {"a": ["1", text], "c": "0"}]}))
+        self.refused(capsys, ["count", str(path)], "subtori[0].a: ")
+
+    @pytest.mark.parametrize("text", NOT_INTEGERS)
+    def test_covector_entry_outside_the_grammar(self, capsys, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"type": "projective", "d": "2",
+                                    "covectors": [["1", "0", "0"], ["0", "1", "0"],
+                                                  ["0", "0", text]]}))
+        self.refused(capsys, ["count", str(path)], "covectors[2]: ")
+
+    @pytest.mark.parametrize("text", NOT_INTEGERS)
+    def test_dimension_outside_the_grammar(self, capsys, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"type": "projective", "d": text,
+                                    "covectors": [["1", "0"], ["0", "1"]]}))
+        self.refused(capsys, ["count", str(path)], "d: ")
+
+    @pytest.mark.parametrize("text", NOT_RATIONALS)
+    def test_offsets_flag_outside_the_grammar(self, capsys, text):
+        self.refused(capsys, ["gen", "toric-b", "-n", "4", "-d", "2", "-k", "1",
+                              "--offsets", "1/3", text], "--offsets: ")
+
+    def test_signs_and_leading_zeros_are_in_the_grammar(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"type": "toric", "d": "+02", "subtori": [
+            {"a": ["+1", "-0"], "c": "-1/03"}, {"a": ["0", "1"], "c": "+4/2"}]}))
+        code, out = run(capsys, "count", str(path))
+        assert (code, json.loads(out)) == (0, {"f": 1})
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "-n", "4", "-d", "2", "--toric", "--cap", "100000000"],
+        ["search", "--space", "toric", "-n", "4", "-d", "2", "--cap", "100000000",
+         "--budget", "1"],
+    ])
+    def test_listing_past_the_budget(self, capsys, argv):
+        self.refused(capsys, argv, "cap 100000000")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["-n", "1000000", "-d", "100000"], "n = 1000000, d = 100000"),
+        (["-n", "100000000", "-d", "10000000", "-m", "20000000"],
+         "n = 100000000, d = 10000000, m = 20000000"),
+        (["-n", "100000", "-d", "14283"], "14301 bits"),
+    ])
+    def test_bounds_too_long_to_print(self, capsys, argv, named):
+        self.refused(capsys, ["bounds", *argv], named)
+
+    def test_bounds_just_short_enough_to_print(self, capsys):
+        code, out = run(capsys, "bounds", "-n", "3000", "-d", "1500", "-m", "3000")
+        assert code == 0
+        rows = {r["bound"]: r for r in json.loads(out)}
+        assert len(str(rows["mcmullen"]["ceil"])) == 455
+
+
 class TestBounds:
     def test_table_contains_product_bound(self, capsys):
         code, out = run(capsys, "bounds", "-n", "11", "-d", "3", "-m", "5")

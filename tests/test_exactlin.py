@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,12 +82,29 @@ class TestRationalStrings:
         ("0", Fraction(0)),
     ])
     def test_parse(self, text, value):
-        assert ex.parse_rational(text) == value
+        assert ex.parse_rational(text, "c") == value
+
+    @pytest.mark.parametrize("text", ["1_0/3", "0.5", " 1/2", "1e3", "\u0663", "1/-2",
+                                      "1/+2", "", "/2", "1/", "inf", "nan"])
+    def test_outside_the_grammar(self, text):
+        with pytest.raises(ValueError, match="^offset: expected a rational"):
+            ex.parse_rational(text, "offset")
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", " 7 ", "7\n", "1e3", "7.0", "", "+"])
+    def test_integer_outside_the_grammar(self, text):
+        with pytest.raises(ValueError, match="^entry: expected a decimal integer"):
+            ex.parse_int(text, "entry")
+
+    def test_digit_limit_names_the_field(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=f"^c: {limit + 1} digits, more than the {limit}"):
+            ex.parse_rational("1/" + "1" * (limit + 1), "c")
+        assert ex.parse_int("-" + "9" * limit, "a") == -int("9" * limit)
 
     @given(st.fractions(max_denominator=1000))
     def test_round_trip_reduces(self, q):
         text = ex.format_rational(q)
-        back = ex.parse_rational(text)
+        back = ex.parse_rational(text, "c")
         assert back == q
         assert back.denominator > 0
         if q.denominator == 1:

@@ -11,7 +11,7 @@ from chambers import bounds as bd
 from chambers import generators as gn
 from chambers import spectrum as sp
 from chambers.oracle import count_regions_oracle
-from chambers.projective import count_regions_projective
+from chambers.projective import ProjArrangement, count_regions_projective, max_point_multiplicity
 from chambers.toric import count_regions_toric
 
 
@@ -298,6 +298,37 @@ class TestVerifyBoundsBatch:
         violations = sp.verify_bounds_batch([(arr, f - 1)])
         assert len(violations) >= 1
         assert any(v.f == f - 1 for v in violations)
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The arrangements `max_point_multiplicity` is called on, in order."""
+        called = []
+
+        def counted(arr):
+            called.append(arr)
+            return max_point_multiplicity(arr)
+
+        monkeypatch.setattr(sp, "max_point_multiplicity", counted)
+        return called
+
+    def test_a_count_that_clears_every_m_needs_no_walk(self, walks):
+        arr = gn.general_position(22, 3)
+        assert sp.verify_bounds_batch([(arr, gn.general_position_count(22, 3))]) == []
+        assert walks == []
+
+    def test_a_count_below_some_m_is_walked_and_flagged(self, walks):
+        f, recipe = min(sp.search_projective(11, 3).found.items())
+        arr = sp.build_recipe(recipe)
+        assert sp.verify_bounds_batch([(arr, f)]) == []
+        violations = sp.verify_bounds_batch([(arr, f - 1)])
+        assert walks == [arr, arr]
+        assert [(v.bound, v.f) for v in violations] == [("multiplicity_product", f - 1)]
+
+    def test_an_rp1_entry_is_walked_and_refused_by_the_product_bound(self, walks):
+        arr = ProjArrangement(1, ((1, 0), (0, 1), (1, 1)))
+        with pytest.raises(ValueError, match="need d >= 2"):
+            sp.verify_bounds_batch([(arr, count_regions_projective(arr))])
+        assert walks == [arr]
 
     def test_toric_membership_violation_flagged(self):
         import chambers.generators as gn
