@@ -35,10 +35,10 @@ Criteria (all required unless marked stretch):
    bound by iterated cones over near-pencils;
 8. Martinov's plane values from double pencils, verified by both engines.
 
-Criteria 2, 3, 5 and 8 read their predicted values from the one table of
-claims, `bounds.CLAIMS`: c2 and c3 through `first_four_counts`,
-`low_counts_3d` and the reports of `search_projective`, c5 through those of
-`search_toric`, and c8 through `bounds.predicted`.
+Criteria 2, 3, 5, 6 and 8 read their predicted values, as sorted intervals,
+from the one table of claims, `bounds.CLAIMS`: c2 and c3 through
+`first_four_counts`, `low_counts_3d` and `search_projective`, c5 through
+`search_toric`, c6 through `bounds.contains` and c8 through `bounds.predicted`.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ a walk over the arrangement to find; `multiplicity_bounds_hold_for_every_m`
 decides from n, d and f alone whether f meets them at every possible m, and
 only when it does not is m worth computing.  `CLAIMS` is the one statement
 of each spectrum claim: its space, its range, its default cap and its values
-up to a cap.  `predicted` reads a row inside its range, `projective_claim`
-picks the row a projective search is checked against, and `chambers
-spectrum` lists one row per mode.
+as sorted disjoint intervals.  `predicted` lists them up to a cap, `contains`
+tests one value, `projective_claim` picks the row a projective search is
+checked against, and `chambers spectrum` lists one row per mode.
 """
 
 from __future__ import annotations
@@ -207,20 +207,18 @@ def multiplicity_bounds_hold_for_every_m(n: int, d: int, f: int) -> bool:
 class Claim(NamedTuple):
     """One spectrum claim of the paper, for n hypersurfaces in `space`: its
     range, as text and as `in_range(n, d)`; `d`, the one dimension it speaks
-    of, or None; its default `cap(n, d)`; `values(n, d, cap)`, increasing,
-    at least those up to cap; its `chambers spectrum` mode and help; and
-    whether it is `endless`, with values past every cap, so that a listing
-    up to a cap may hold as many values as the cap."""
+    of, or None; its default `cap(n, d)`; `intervals(n, d)`, its values as
+    sorted, disjoint, closed (lo, hi) pairs, the last with hi None when they
+    go on past every cap; and its `chambers spectrum` mode and help."""
 
     space: str
     d: int | None
     range: str
     in_range: Callable[[int, int], bool]
     cap: Callable[[int, int], int]
-    values: Callable[[int, int, int], list[int]]
+    intervals: Callable[[int, int], list[tuple[int, int | None]]]
     flag: str
     help: str
-    endless: bool = False
 
 
 # (slope, intercept) pairs: counts of the form slope * n + intercept
@@ -242,44 +240,54 @@ CLAIMS: dict[str, Claim] = {
     "first_four": Claim(
         "projective", None, "d >= 3, n >= 2d+5", lambda n, d: d >= 3 and n >= 2 * d + 5,
         lambda n, d: 7 * (n - d) * 2 ** (d - 3),
-        lambda n, d, cap: [(n - d + 1) * 2 ** (d - 1), 3 * (n - d) * 2 ** (d - 2),
-                           (3 * n - 3 * d + 1) * 2 ** (d - 2), 7 * (n - d) * 2 ** (d - 3)],
+        lambda n, d: [(v, v) for v in (
+            (n - d + 1) * 2 ** (d - 1), 3 * (n - d) * 2 ** (d - 2),
+            (3 * n - 3 * d + 1) * 2 ** (d - 2), 7 * (n - d) * 2 ** (d - 3))],
         "first-four", "four smallest counts in RP^d (d >= 3, n >= 2d+5)"),
     "low_range_3d": Claim(
         "projective", 3, "d = 3, n >= 50", lambda n, d: d == 3 and n >= 50,
-        lambda n, d: 12 * n - 60, lambda n, d, cap: [a * n + b for a, b in LOW_COUNT_FORMS_3D],
+        lambda n, d: 12 * n - 60, lambda n, d: [(a * n + b,) * 2 for a, b in LOW_COUNT_FORMS_3D],
         "low-range-3d", "all 36 counts up to 12n-60 in RP^3 (n >= 50)"),
     "toric_spectrum": Claim(
-        "toric", None, "n >= 2, d >= 2", lambda n, d: n >= 2 and d >= 2,
-        lambda n, d: 2 * n,
-        lambda n, d, cap: [f for f in range(1, cap + 1) if toric_spectrum_contains(n, d, f)],
-        "toric", "predicted toric spectrum up to --cap", endless=True),
+        "toric", None, "n >= 2, d >= 2", lambda n, d: n >= 2 and d >= 2, lambda n, d: 2 * n,
+        lambda n, d: ([(max(1, n - d + 1), None)] if n <= 2 * d + 1  # parts meet: n+1 >= 2(n-d)
+                      else [(n - d + 1, n), (2 * (n - d), None)]),
+        "toric", "predicted toric spectrum up to --cap"),
     "martinov": Claim(
-        "projective", 2, "d = 2, n >= 7", lambda n, d: d == 2 and n >= 7,
-        lambda n, d: 4 * n - 12,
-        lambda n, d, cap: sorted({2 * n - 2, 3 * n - 6, 3 * n - 5, 4 * n - 12}),
+        "projective", 2, "d = 2, n >= 7", lambda n, d: d == 2 and n >= 7, lambda n, d: 4 * n - 12,
+        lambda n, d: [(v, v) for v in sorted({2 * n - 2, 3 * n - 6, 3 * n - 5, 4 * n - 12})],
         "martinov", "plane spectrum members up to 4n-12"),
 }
+
+
+def _intervals(name: str, n: int, d: int) -> list[tuple[int, int | None]]:
+    """The claim's intervals at (n, d), each lo above the previous hi."""
+    claim = CLAIMS[name]
+    if not claim.in_range(n, d):
+        raise OutOfTheoremRangeError(f"(n, d) = ({n}, {d}) outside {claim.range}")
+    intervals = claim.intervals(n, d)
+    if any(hi is None or lo <= hi for (_, hi), (lo, _) in zip(intervals, intervals[1:])):
+        raise RuntimeError(f"{name} values not increasing at (n, d) = ({n}, {d})")
+    return intervals
 
 
 def predicted(name: str, n: int, d: int, cap: int | None = None) -> tuple[int, list[int]]:
     """(cap, values): the claim's values at (n, d) up to cap, increasing, and
     the cap, which is the claim's default when `cap` is None.  Raises
-    OutOfTheoremRangeError outside the claim's range, and TooLargeError,
-    before any value is listed, when an endless claim's listing could hold
-    more than `SWEEP_GUARD` values."""
-    claim = CLAIMS[name]
-    if not claim.in_range(n, d):
-        raise OutOfTheoremRangeError(f"(n, d) = ({n}, {d}) outside {claim.range}")
-    if cap is None:
-        cap = claim.cap(n, d)
-    if claim.endless and cap > SWEEP_GUARD:
+    OutOfTheoremRangeError outside the claim's range, and TooLargeError, before
+    listing, when the values go on past a cap above `SWEEP_GUARD`."""
+    intervals = _intervals(name, n, d)
+    cap = CLAIMS[name].cap(n, d) if cap is None else cap
+    if intervals[-1][1] is None and cap > SWEEP_GUARD:
         raise TooLargeError(f"a listing of {name} up to cap {cap} could hold more "
                             f"than {SWEEP_GUARD} values")
-    values = claim.values(n, d, cap)
-    if any(a >= b for a, b in zip(values, values[1:])):
-        raise RuntimeError(f"{name} values not increasing at (n, d) = ({n}, {d})")
-    return cap, [v for v in values if v <= cap]
+    return cap, [f for lo, hi in intervals
+                 for f in range(lo, (cap if hi is None else min(cap, hi)) + 1)]
+
+
+def contains(name: str, n: int, d: int, f: int) -> bool:
+    """Whether f is among the claim's values at (n, d); raises as `predicted`."""
+    return any(lo <= f and (hi is None or f <= hi) for lo, hi in _intervals(name, n, d))
 
 
 def projective_claim(n: int, d: int) -> str:
@@ -305,19 +313,10 @@ def low_counts_3d(n: int) -> list[int]:
 
 
 def martinov_subset(n: int) -> set[int]:
-    """Martinov's four smallest values for n lines in RP^2, up to 4n-12;
-    3n-5 = 4n-12 at n = 7."""
+    """Martinov's smallest values for n lines in RP^2, to 4n-12 (= 3n-5 at n = 7)."""
     return set(predicted("martinov", n, 2)[1])
 
 
 def toric_spectrum_contains(n: int, d: int, f: int) -> bool:
-    """Membership in the predicted spectrum for n subtori of T^d.
-
-    Every positive integer when n <= d; otherwise
-    {n-d+1, ..., n} union {l : l >= 2(n-d)}.
-    """
-    if n < 2 or d < 2 or f < 1:
-        raise ValueError("need n >= 2, d >= 2, f >= 1")
-    if n <= d:
-        return True
-    return (n - d + 1 <= f <= n) or f >= 2 * (n - d)
+    """Membership in the predicted spectrum for n subtori of T^d."""
+    return contains("toric_spectrum", n, d, f)

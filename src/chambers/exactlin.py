@@ -102,14 +102,14 @@ def json_field(data, key: str, kind: type | tuple[type, ...] = object):
 
 
 def read_json(path: str):
-    """The JSON value in the file at `path`.
+    """The JSON value in the file at `path`, its integers as text for `parse_int`.
 
     A file nested too deeply for the decoder is refused as malformed input
     (ValueError), not passed on as the decoder's RecursionError.
     """
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=str)
         except RecursionError:
             raise ValueError(f"{path} is nested too deeply to read as JSON") from None
 

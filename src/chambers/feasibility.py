@@ -51,9 +51,9 @@ there is empty by the same certificate and costs no program.  The file lives
 for one walk.
 
 Work is bounded by a one-entry budget list that the caller starts at
-`SWEEP_GUARD`.  Before any pivot, a program is charged len(rows) (dim + 1)
-entries for its columns and (dim + 1)^3 for pivoting den * B^-1, and
-TooLargeError is raised once the budget is spent.
+`SWEEP_GUARD` and that only `charge` spends.  Before any pivot, a program is
+charged len(rows) (dim + 1) entries for its columns and (dim + 1)^3 for
+pivoting den * B^-1, and TooLargeError is raised once the budget is spent.
 """
 
 from __future__ import annotations
@@ -77,6 +77,13 @@ class TooLargeError(ValueError):
 # engine 4.9 to 7.4 M/s, so this is at most about 0.7 s of work; the costliest
 # first-four witness, at (d, n) = (10, 25), charges 485,373 entries.
 SWEEP_GUARD = 800_000
+
+
+def charge(budget: list[int], entries: int, what: str) -> None:
+    """Spend `entries` of `budget[0]`; past zero, raise TooLargeError naming `what`."""
+    budget[0] -= entries
+    if budget[0] < 0:
+        raise TooLargeError(f"{what} more than {SWEEP_GUARD} entries")
 
 
 class PhaseOneBasis:
@@ -130,9 +137,7 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int, budget: list[int],
     elif len(basis.ids) != m:
         raise ValueError(f"basis is for {len(basis.ids) - 1} variables, not {dim}")
     k = len(rows)
-    budget[0] -= k * m + m ** 3
-    if budget[0] < 0:
-        raise TooLargeError(f"the linear programs need more than {SWEEP_GUARD} entries")
+    charge(budget, k * m + m ** 3, "the linear programs need")
     ids, inv, rhs = basis.ids, basis.inv, basis.rhs
 
     while True:

@@ -54,7 +54,7 @@ from .exactlin import (
     rank,
     read_json,
 )
-from .feasibility import SWEEP_GUARD, TooLargeError
+from .feasibility import SWEEP_GUARD, charge
 
 
 class ValidationError(ValueError):
@@ -71,11 +71,11 @@ class ProjArrangement:
     primitive integer covectors.
 
     Covectors are reduced to primitive form but keep their input sign.  The
-    arrangement is checked once, here: a hyperplane given twice (u and -u
+    arrangement is checked once, here, after its n (d+1)^2 entries are
+    charged to a fresh `SWEEP_GUARD`: a hyperplane given twice (u and -u
     included) or a covector matrix of rank below d + 1 raises
-    ValidationError, listing every duplicate pair and then the common point.
-    So every ProjArrangement is one the counts apply to, and no engine
-    checks it again.
+    ValidationError, listing every duplicate pair and then the common point,
+    so every ProjArrangement is one the counts apply to.
     """
 
     d: int
@@ -90,6 +90,7 @@ class ProjArrangement:
                 raise ValueError(f"covector {u} has wrong length for RP^{self.d}")
             fixed.append(primitive_scale(u))
         object.__setattr__(self, "covectors", tuple(fixed))
+        charge([SWEEP_GUARD], len(fixed) * (self.d + 1) ** 2, "the construction check needs")
         violations = []
         seen = {}
         for i, u in enumerate(fixed):
@@ -261,9 +262,7 @@ def _traces(u: Vec, rows: Sequence[Vec], budget: list[int]) -> list[Vec]:
     `budget[0]` is what the walk may still spend; the len(rows) * len(u)
     entries of the minors are charged before any is computed.
     """
-    budget[0] -= len(rows) * len(u)
-    if budget[0] < 0:
-        raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
+    charge(budget, len(rows) * len(u), "the sweep needs")
     out = []
     if len(u) == 3:
         u0, u1, u2 = u

@@ -233,16 +233,17 @@ def search_projective(n: int, d: int, budget: int | None = None,
     if d < 2 or n < d + 2:
         raise ValueError("need d >= 2 and n >= d+2")
     rule = bd.projective_claim(n, d)
-    report = SpectrumReport("projective", n, d, bd.predicted(rule, n, d, cap)[0], rule)
-    return _fill_report(report, _catalogue(n, d, report.cap), budget)
+    cap, predicted = bd.predicted(rule, n, d, cap)
+    report = SpectrumReport("projective", n, d, cap, rule)
+    return _fill_report(report, _catalogue(n, d, cap), predicted, budget)
 
 
 def search_toric(n: int, d: int, budget: int | None = None,
                  cap: int | None = None) -> SpectrumReport:
     """Walk `_toric_catalogue` lazily under the cap against the spectrum."""
-    cap = bd.predicted("toric_spectrum", n, d, cap)[0]
+    cap, predicted = bd.predicted("toric_spectrum", n, d, cap)
     report = SpectrumReport("toric", n, d, cap, "toric_spectrum")
-    return _fill_report(report, _toric_catalogue(n, d, cap), budget)
+    return _fill_report(report, _toric_catalogue(n, d, cap), predicted, budget)
 
 
 def _toric_catalogue(n: int, d: int, cap: int):
@@ -258,9 +259,9 @@ def _toric_catalogue(n: int, d: int, cap: int):
                          gn.toric_construction_b_count(n, dprime, k))
 
 
-def _fill_report(report: SpectrumReport, recipes, budget: int | None) -> SpectrumReport:
+def _fill_report(report: SpectrumReport, recipes, predicted, budget: int | None) -> SpectrumReport:
     """Count one witness per distinct predicted value in [1, cap], then compare
-    with the values of the report's rule (`bounds.CLAIMS`) up to the cap.
+    with `predicted`, the values of the report's rule (`bounds.CLAIMS`) to the cap.
 
     Recipes predicting outside [1, cap] or predicting an already witnessed
     value are skipped.
@@ -283,9 +284,9 @@ def _fill_report(report: SpectrumReport, recipes, budget: int | None) -> Spectru
         f = count_recipe(recipe)
         report.counted += 1
         report.found[f] = recipe
-    _, predicted = bd.predicted(report.rule, report.n, report.d, report.cap)
     report.missing_predicted = [v for v in predicted if v not in report.found]
-    report.unexpected = sorted(set(report.found).difference(predicted))
+    report.unexpected = sorted(f for f in report.found
+                               if not bd.contains(report.rule, report.n, report.d, f))
     return report
 
 
@@ -338,7 +339,7 @@ def verify_bounds_batch(items) -> list[BoundViolation]:
             if not bound.holds_for(f):
                 violations.append(BoundViolation(label, "homological_torus",
                                                  bound.ceil, f))
-            if not bd.toric_spectrum_contains(arr.n, arr.d, f):
+            if not bd.contains("toric_spectrum", arr.n, arr.d, f):
                 violations.append(BoundViolation(label, "toric_spectrum", -1, f))
         else:
             raise TypeError(f"unsupported arrangement type {type(arr)!r}")

@@ -66,7 +66,7 @@ from typing import Iterable, Sequence
 
 from .exactlin import (Vec, dot, format_rational, json_field, parse_int, parse_int_vector,
                        parse_rational, read_json)
-from .feasibility import SWEEP_GUARD, TooLargeError, walk_sign_vectors
+from .feasibility import SWEEP_GUARD, TooLargeError, charge, walk_sign_vectors
 
 GRID_NODE_GUARD = 10 ** 6
 
@@ -224,9 +224,7 @@ def _traces(h: Key, earlier: Sequence[Key], budget: list[int],
     if not earlier:
         return []
     a, hn, hd = h
-    budget[0] -= (len(earlier) + 1) * len(a) ** 2
-    if budget[0] < 0:
-        raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
+    charge(budget, (len(earlier) + 1) * len(a) ** 2, "the sweep needs")
     if a not in bases:
         bases[a] = _unimodular_basis(a)
     v0, *basis = bases[a]
@@ -236,9 +234,7 @@ def _traces(h: Key, earlier: Sequence[Key], budget: list[int],
         g = gcd(*w)
         if g:  # r = e - c b . V[0] as a numerator over den = kd hd
             forms.append((w, g, kn * hd - hn * kd * sum(map(mul, b, v0)), kd * hd))
-    budget[0] -= sum(f[1] for f in forms) * (len(a) - 1)
-    if budget[0] < 0:
-        raise TooLargeError(f"the sweep needs more than {SWEEP_GUARD} entries")
+    charge(budget, sum(f[1] for f in forms) * (len(a) - 1), "the sweep needs")
     traces = []
     for w, g, r, den in forms:
         traces += _canonical(tuple(x // g for x in w), range(r, r + g * den, den), g * den)

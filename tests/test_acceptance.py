@@ -87,9 +87,13 @@ def test_criterion_5_toric_plane_spectrum(battery):
 def test_criterion_5_fails_when_a_gap_value_is_admitted(monkeypatch):
     # 2(n - d) - 1 lies in the gap at each (n, d) that c5 searches; no
     # construction reaches it, so it must be reported missing
-    contains = bd.toric_spectrum_contains
-    monkeypatch.setattr(bd, "toric_spectrum_contains",
-                        lambda n, d, f: f == 2 * (n - d) - 1 or contains(n, d, f))
+    row = bd.CLAIMS["toric_spectrum"]
+
+    def with_gap_value(n, d):
+        low, high = row.intervals(n, d)
+        return [low, (2 * (n - d) - 1,) * 2, high]
+
+    monkeypatch.setitem(bd.CLAIMS, "toric_spectrum", row._replace(intervals=with_gap_value))
     [result] = run_battery(only={5}, echo=lambda line: None)
     assert not result.passed
     assert result.detail == ("n=6,d=2: missing [7]; n=7,d=2: missing [9]; "
@@ -106,7 +110,7 @@ def test_dropping_a_martinov_value_reaches_the_cli_the_search_and_c8(monkeypatch
     assert readers() == ([18, 24, 25, 28], [])
     row = bd.CLAIMS["martinov"]
     monkeypatch.setitem(bd.CLAIMS, "martinov", row._replace(
-        values=lambda n, d, cap: [v for v in row.values(n, d, cap) if v != 3 * n - 5]))
+        intervals=lambda n, d: [iv for iv in row.intervals(n, d) if iv != (3 * n - 5,) * 2]))
     assert readers() == ([18, 24, 28], [25])
     [result] = run_battery(only={8}, echo=lambda line: None)
     assert not result.passed

@@ -232,6 +232,16 @@ def hand_written_rule(n, d):
     return "first_four" if n >= 2 * d + 5 else None
 
 
+# In-range points of every claim; the toric ones have n <= d, d < n <= 2d+1
+# (one interval) and n > 2d+1 (two).
+CLAIM_POINTS = {
+    "first_four": [(11, 3), (20, 3), (13, 4), (15, 5), (21, 8)],
+    "low_range_3d": [(50, 3), (51, 3), (80, 3)],
+    "martinov": [(7, 2), (8, 2), (30, 2)],
+    "toric_spectrum": [(2, 2), (3, 5), (4, 2), (5, 2), (6, 2), (7, 3), (8, 3)],
+}
+
+
 class TestClaims:
     @pytest.mark.parametrize("d", range(2, 7))
     def test_projective_claim_is_the_hand_written_rule(self, d):
@@ -244,14 +254,9 @@ class TestClaims:
             else:
                 assert bd.projective_claim(n, d) == want
 
-    @pytest.mark.parametrize("name, points", [
-        ("first_four", [(11, 3), (20, 3), (13, 4), (15, 5), (21, 8)]),
-        ("low_range_3d", [(50, 3), (51, 3), (80, 3)]),
-        ("martinov", [(7, 2), (8, 2), (30, 2)]),
-        ("toric_spectrum", [(2, 2), (4, 2), (7, 3), (3, 5)]),
-    ])
-    def test_default_cap_is_the_last_value(self, name, points):
-        for n, d in points:
+    @pytest.mark.parametrize("name", CLAIM_POINTS)
+    def test_default_cap_is_the_last_value(self, name):
+        for n, d in CLAIM_POINTS[name]:
             cap, values = bd.predicted(name, n, d)
             assert cap == bd.CLAIMS[name].cap(n, d) == values[-1]
             assert bd.predicted(name, n, d, cap - 1) == (cap - 1, values[:-1])
@@ -267,27 +272,49 @@ class TestClaims:
             bd.predicted(name, n, d)
         assert str(info.value) == message
 
-    def test_an_endless_listing_past_the_guard_is_refused_before_it_is_made(self,
-                                                                             monkeypatch):
-        row = bd.CLAIMS["toric_spectrum"]
-        listed = []
-        monkeypatch.setitem(bd.CLAIMS, "toric_spectrum", row._replace(
-            values=lambda n, d, cap: listed.append(cap) or [cap]))
-        assert bd.predicted("toric_spectrum", 4, 2, bd.SWEEP_GUARD) == (bd.SWEEP_GUARD,
-                                                                        [bd.SWEEP_GUARD])
-        message = f"up to cap {bd.SWEEP_GUARD + 1} could hold more"
+    def test_an_open_listing_past_the_guard_is_refused(self, monkeypatch):
+        cap, values = bd.predicted("toric_spectrum", 4, 2, bd.SWEEP_GUARD)
+        assert (cap, values[:2], values[-1], len(values)) == (
+            bd.SWEEP_GUARD, [3, 4], bd.SWEEP_GUARD, bd.SWEEP_GUARD - 2)
+        message = (f"^a listing of toric_spectrum up to cap {bd.SWEEP_GUARD + 1} could hold "
+                   f"more than {bd.SWEEP_GUARD} values$")
         with pytest.raises(bd.TooLargeError, match=message):
             bd.predicted("toric_spectrum", 4, 2, bd.SWEEP_GUARD + 1)
-        assert listed == [bd.SWEEP_GUARD]
+        # the refusal is read from the open interval, not from how much it would list
+        row = bd.CLAIMS["toric_spectrum"]
+        monkeypatch.setitem(bd.CLAIMS, "toric_spectrum", row._replace(
+            intervals=lambda n, d: [(bd.SWEEP_GUARD + 1, None)]))
+        with pytest.raises(bd.TooLargeError, match=message):
+            bd.predicted("toric_spectrum", 4, 2, bd.SWEEP_GUARD + 1)
 
-    def test_only_the_toric_claim_is_endless(self):
-        assert [name for name, row in bd.CLAIMS.items() if row.endless] == ["toric_spectrum"]
+    def test_only_the_toric_claim_is_open_above(self):
+        open_above = {name: {bd.CLAIMS[name].intervals(n, d)[-1][1] is None for n, d in points}
+                      for name, points in CLAIM_POINTS.items()}
+        assert open_above == {name: {name == "toric_spectrum"} for name in CLAIM_POINTS}
         cap = 10 ** 9
         assert bd.predicted("first_four", 11, 3, cap) == (cap, bd.first_four_counts(11, 3))
 
-    def test_values_that_do_not_increase_are_an_internal_error(self, monkeypatch):
-        row = bd.CLAIMS["first_four"]
-        monkeypatch.setitem(bd.CLAIMS, "first_four", row._replace(
-            values=lambda n, d, cap: row.values(n, d, cap)[::-1]))
-        with pytest.raises(RuntimeError, match="first_four values not increasing"):
-            bd.predicted("first_four", 11, 3)
+    @pytest.mark.parametrize("name, n, d, broken", [
+        ("first_four", 11, 3, lambda intervals: intervals[::-1]),
+        ("martinov", 10, 2, lambda intervals: intervals[:1] + intervals),
+        ("toric_spectrum", 4, 2, lambda intervals: [(3, 10), (10, None)]),
+        ("toric_spectrum", 4, 2, lambda intervals: intervals + [(10, 12)]),
+    ], ids=["reversed", "repeated", "overlapping", "open-before-last"])
+    def test_intervals_that_do_not_increase_are_an_internal_error(self, monkeypatch,
+                                                                   name, n, d, broken):
+        row = bd.CLAIMS[name]
+        monkeypatch.setitem(bd.CLAIMS, name, row._replace(
+            intervals=lambda n, d: broken(row.intervals(n, d))))
+        for read in (lambda: bd.predicted(name, n, d), lambda: bd.contains(name, n, d, 1)):
+            with pytest.raises(RuntimeError, match=f"{name} values not increasing"):
+                read()
+
+    @pytest.mark.parametrize("name", CLAIM_POINTS)
+    def test_listing_up_to_a_cap_is_membership(self, name):
+        # caps at every interval edge and one either side of it
+        for n, d in CLAIM_POINTS[name]:
+            edges = {e for interval in bd.CLAIMS[name].intervals(n, d) for e in interval
+                     if e is not None}
+            for cap in sorted({e + step for e in edges for step in (-1, 0, 1)}):
+                assert bd.predicted(name, n, d, cap) == (cap, [
+                    f for f in range(1, cap + 1) if bd.contains(name, n, d, f)])

@@ -274,6 +274,27 @@ class TestDoor:
                                     "covectors": [["1", "0"], ["0", "1"]]}))
         self.refused(capsys, ["count", str(path)], "d: ")
 
+    @pytest.mark.parametrize("data, named", [
+        ({"type": "projective", "d": 2,
+          "covectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, "BIG"]]}, "covectors[3]: "),
+        ({"type": "toric", "d": 2,
+          "subtori": [{"a": [1, 0], "c": "0"}, {"a": [1, "BIG"], "c": "0"}]}, "subtori[1].a: "),
+    ], ids=["covector", "toric-normal"])
+    def test_oversize_json_integer_names_its_field(self, capsys, tmp_path, data, named):
+        # "BIG" becomes a JSON number of 5000 digits, which json.dumps cannot write
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data).replace('"BIG"', "1" * 5000))
+        self.refused(capsys, ["count", str(path)],
+                     f"{named}5000 digits, more than the 4300 an integer may have")
+
+    def test_projective_arrangement_too_large_to_check(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"type": "projective", "d": 200, "covectors": [
+            [str((7 * i + 3 * j) % 19 - 9) for j in range(201)] for i in range(201)]}))
+        self.refused(capsys, ["count", str(path)], "the construction check needs more than")
+        self.refused(capsys, ["gen", "general-position", "-n", "400", "-d", "200"],
+                     "the construction check needs more than")
+
     @pytest.mark.parametrize("text", NOT_RATIONALS)
     def test_offsets_flag_outside_the_grammar(self, capsys, text):
         self.refused(capsys, ["gen", "toric-b", "-n", "4", "-d", "2", "-k", "1",

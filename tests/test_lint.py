@@ -206,3 +206,24 @@ def test_the_only_guards_are_the_work_budget_and_the_grid():
     guards = [f"{p.name}: {name}" for p in SOURCES
               for name in module_level_names(p.read_text()) if name.endswith("_GUARD")]
     assert guards == ["feasibility.py: SWEEP_GUARD", "toric.py: GRID_NODE_GUARD"]
+
+
+def budget_spenders(source: str) -> list[int]:
+    """Lines that subtract in place from an item of `budget`, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.target.value, ast.Name) and node.target.value.id == "budget"]
+
+
+def test_detects_a_budget_spender():
+    source = "budget[0] -= 5\nbudget[0] += 1\nother[0] -= 1\ndef f():\n    budget[i] -= 2\n"
+    assert budget_spenders(source) == [1, 5]
+
+
+# The work budget is spent in one place, `feasibility.charge`, so that every
+# engine refuses by the same rule.  Spending it anywhere else fails here.
+def test_only_feasibility_spends_the_work_budget():
+    spenders = [f"{p.name}: line {line}" for p in SOURCES
+                for line in budget_spenders(p.read_text())]
+    assert [s.split(":")[0] for s in spenders] == ["feasibility.py"]

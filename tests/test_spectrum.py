@@ -387,7 +387,7 @@ def test_sub_threshold_witness(excess, d):
     assert count_regions_projective(arr) == count_regions_oracle(arr) == want
     claim = bd.CLAIMS["first_four"]
     assert not claim.in_range(n, d)
-    values = claim.values(n, d, claim.cap(n, d))
-    assert values[2] < want < values[3]
+    (_, third), (fourth, _) = claim.intervals(n, d)[2:]
+    assert third < want < fourth
     with pytest.raises(bd.OutOfTheoremRangeError):
         bd.projective_claim(n, d)
