@@ -29,6 +29,7 @@ from . import bounds as bd
 from . import generators as gn
 from . import spectrum as sp
 from .exactlin import format_rational, json_field, parse_rational, read_json
+from .feasibility import SWEEP_GUARD, charge
 from .oracle import count_regions_oracle
 from .projective import (
     ProjArrangement,
@@ -161,6 +162,8 @@ def _build_from_args(args):
               if flag not in needed + read and _flag_value(args, flag) is not None]
     if unread:
         raise ValueError(f"family {family!r} does not read {' and '.join(unread)}")
+    base = load_arrangement(args.base) if args.base is not None else None
+    charge([SWEEP_GUARD], _family_entries(args, base), f"family {family!r} needs")
     if family == "general-position":
         arr = gn.general_position(args.n, args.d)
         expected = gn.general_position_count(args.n, args.d)
@@ -172,7 +175,6 @@ def _build_from_args(args):
         arr = gn.near_pencil(args.n)
         expected = 2 * args.n - 2
     elif family == "cone":
-        base = load_arrangement(args.base)
         point = tuple(args.through) if args.through else None
         extras = 1 if args.extras is None else args.extras
         arr = gn.cone(base, extras=extras, through_point=point)
@@ -180,8 +182,8 @@ def _build_from_args(args):
         expected = gn.cone_count(count_regions_projective(base), extras,
                                  base_n=base.n, through_multiplicity=mu)
     elif family == "two-extra":
-        base = gn.near_pencil(args.n - 2) if args.base is None \
-            else load_arrangement(args.base)
+        if base is None:
+            base = gn.near_pencil(args.n - 2)
         coincidences = args.coincidences or 0
         line_in_union = bool(args.line_in_union)
         arr = gn.two_extra_planes(base, coincidences=coincidences,
@@ -200,6 +202,23 @@ def _build_from_args(args):
             arr = gn.toric_construction_b(args.n, args.d, k, offsets)
             expected = gn.toric_construction_b_count(args.n, args.d, k)
     return arr, expected
+
+
+def _family_entries(args, base: ProjArrangement | None) -> int:
+    """The integer entries the family writes, d + 1 per hyperplane or subtorus.
+
+    Flags are taken by absolute value: a negative one is refused by its
+    family, after this charge.
+    """
+    family = args.family
+    if family == "double-pencil":
+        return 3 * (abs(args.a) + abs(args.b))
+    if family == "cone":
+        return (base.n + abs(args.extras or 1)) * (base.d + 2)
+    if family == "two-extra":  # the base, its apex plane and two more, in RP^3
+        return 4 * ((abs(args.n) - 2 if base is None else base.n) + 3)
+    d = 2 if family == "near-pencil" else abs(args.d)
+    return abs(args.n) * (d + 1)
 
 
 def cmd_gen(args) -> int:

@@ -104,14 +104,17 @@ def json_field(data, key: str, kind: type | tuple[type, ...] = object):
 def read_json(path: str):
     """The JSON value in the file at `path`, its integers as text for `parse_int`.
 
-    A file nested too deeply for the decoder is refused as malformed input
-    (ValueError), not passed on as the decoder's RecursionError.
+    A file that is not JSON, or nested too deeply for the decoder, is refused
+    as malformed input (ValueError) by a message that names it, not passed on
+    as the decoder's own error.
     """
     with open(path) as fh:
         try:
             return json.load(fh, parse_int=str)
         except RecursionError:
             raise ValueError(f"{path} is nested too deeply to read as JSON") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
 
 
 def format_rational(value: int | Fraction) -> str:

@@ -31,7 +31,18 @@ entering column and breaks ties in the ratio test, so a run is finite from
 any primal feasible basis.  More rows only add columns, so a basis left by
 a system stays primal feasible for every system that extends it:
 `feasible_point` restarts from such a basis when given one and from the
-all-artificial basis otherwise, and it is the only solver.
+all-artificial basis otherwise, and it is the only solver.  A basis also
+records how many leading rows it is optimal for (`settled`), set when a full
+pricing scan found no entering row.  Those rows price out under its dual, so
+a warm start's first scan begins after them and Bland's choice is the same.
+
+The pivot loop is written out for each dimension: the pricing scan, the
+entering column, the fraction-free row update with its remainder check and
+the witness check unpack their rows and sum each dot product term by term.
+One template (`_TEMPLATE`) is rendered and compiled on the first solve in a
+dim, after that solve's charge, and cached, as `collections.namedtuple`
+renders its classes; nothing is compiled at import.  The charge's (dim + 1)^3
+term keeps every rendered dim at 91 or below.
 
 `walk_sign_vectors` is the depth-first search over sign prefixes shared by
 the projective sign-vector oracle and the toric cube-cell enumeration.  A
@@ -59,10 +70,10 @@ pivoting den * B^-1, and TooLargeError is raised once the budget is spent.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import add, and_, mul
-from typing import Iterator, Sequence
+from operator import and_
+from typing import Callable, Iterator, Sequence
 
-from .exactlin import Vec, dot, primitive_scale
+from .exactlin import Vec, primitive_scale
 
 
 class TooLargeError(ValueError):
@@ -73,9 +84,10 @@ class TooLargeError(ValueError):
 # RP^d and T^d sweeps charge each restriction's integer entries, the oracle
 # and the cube engine each program's.  On a shared 2-CPU Linux machine
 # (Python 3.11) the RP^d sweep made 1.7 (GP(25, 10)) to 2.6 M entries/s, the
-# T^d sweep 2.5 to 6.5 M/s, the oracle 1.2 (GP(40, 2)) to 2.5 M/s and the cube
-# engine 4.9 to 7.4 M/s, so this is at most about 0.7 s of work; the costliest
-# first-four witness, at (d, n) = (10, 25), charges 485,373 entries.
+# T^d sweep 2.5 to 6.5 M/s, the oracle 2.5 (GP(40, 2)) to 6.7 M/s (GP(10, 5))
+# and the cube engine 9.6 (b(40, 3, 9)) to 17 M/s (b(30, 6, 4)), so this is
+# at most about 0.5 s of work; the costliest first-four witness, at
+# (d, n) = (10, 25), charges 485,373 entries.
 SWEEP_GUARD = 800_000
 
 
@@ -92,9 +104,11 @@ class PhaseOneBasis:
     Row i of the basis holds column `ids[i]`: j >= 0 is the column (rows[j], 1)
     and a negative id ~t is artificial t.  `inv` is den * B^-1 and `rhs` is
     den * B^-1 b, both integer, with den > 0.  A new basis is all-artificial.
+    `settled` is the number of leading rows the basis is optimal for: a solve
+    sets it when a full pricing scan finds no entering row, and 0 otherwise.
     """
 
-    __slots__ = ("ids", "inv", "rhs", "den")
+    __slots__ = ("ids", "inv", "rhs", "den", "settled")
 
     def __init__(self, dim: int):
         m = dim + 1
@@ -102,6 +116,7 @@ class PhaseOneBasis:
         self.inv = [[int(i == j) for j in range(m)] for i in range(m)]
         self.rhs = [0] * dim + [1]
         self.den = 1
+        self.settled = 0
 
     def copy(self) -> "PhaseOneBasis":
         other = PhaseOneBasis.__new__(PhaseOneBasis)
@@ -109,6 +124,7 @@ class PhaseOneBasis:
         other.inv = [row[:] for row in self.inv]
         other.rhs = self.rhs[:]
         other.den = self.den
+        other.settled = self.settled
         return other
 
 
@@ -119,46 +135,65 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int, budget: list[int],
     Rows are integer; a row of length other than `dim`, or with an entry whose
     type is not int, is refused with ValueError.
     With no rows every x qualifies and the zero vector is returned.  A given
-    `basis` must be primal feasible for these rows, as any basis left by a
-    call on a prefix of them is; it is pivoted in place to the optimum.
-    Without one the solve starts from the all-artificial basis.  Before any
-    pivot the solve charges its entries to `budget[0]` (see the module).
+    `basis` must be new or left by a call on a prefix of these rows, which
+    keeps it primal feasible and its `settled` rows priced out; it is pivoted
+    in place to the optimum.  Without one the solve starts from the
+    all-artificial basis.  Before any pivot, and before the loop for `dim` is
+    rendered, the solve charges its entries to `budget[0]` (see the module).
     """
+    _check_rows(rows, dim)
+    if not rows:
+        return (0,) * dim
+    if basis is None:
+        basis = PhaseOneBasis(dim)
+    elif len(basis.ids) != dim + 1:
+        raise ValueError(f"basis is for {len(basis.ids) - 1} variables, not {dim}")
+    charge(budget, _entries(len(rows), dim), "the linear programs need")
+    return _kernel(dim)[0](rows, len(rows), basis)
+
+
+def _check_rows(rows: Sequence[Sequence[int]], dim: int) -> None:
     for r in rows:
         if len(r) != dim:
             raise ValueError(f"row {tuple(r)} does not have length {dim}")
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         raise ValueError("rows must have int entries; clear denominators first")
-    if not rows:
-        return (0,) * dim
-    m = dim + 1
-    if basis is None:
-        basis = PhaseOneBasis(dim)
-    elif len(basis.ids) != m:
-        raise ValueError(f"basis is for {len(basis.ids) - 1} variables, not {dim}")
-    k = len(rows)
-    charge(budget, k * m + m ** 3, "the linear programs need")
-    ids, inv, rhs = basis.ids, basis.inv, basis.rhs
 
+
+def _entries(k: int, dim: int) -> int:
+    """The charge of a program with k rows: its columns and pivoting den * B^-1."""
+    return k * (dim + 1) + (dim + 1) ** 3
+
+
+# The pivot loop and the dot product, written out term by term for one dim.
+# {r} unpacks a row, {y} the dual, {a} a row of den * B^-1 and {p} the pivot
+# row; {y_r} is y[:dim] . r and {a_r} is a . (r, 1).
+_TEMPLATE = """\
+def solve(rows, k, basis):
+    ids, inv, rhs = basis.ids, basis.inv, basis.rhs
+    start = basis.settled
+    basis.settled = 0
     while True:
-        # den * dual: the sum of the rows of den * B^-1 basic in an artificial.
-        # With one such row y is that row itself, read before the pivot below.
-        y = None
-        for i in range(m):
+        # den * dual: the sum of the rows of den * B^-1 basic in an artificial
+        {y} = {zeros}
+        if min(ids) >= 0:
+            return None  # every artificial has left: the optimum is zero
+        for i in range({m}):
             if ids[i] < 0:
-                y = inv[i] if y is None else list(map(add, y, inv[i]))
-        if y is None:
-            break  # every artificial has left, so the optimum is zero
-        # (r, 1) prices in when y[:dim] . r > -y[dim]; map stops at the shorter
-        bar = -y[dim]
-        for q, r in enumerate(rows):
-            if sum(map(mul, y, r)) > bar:
+                [{a}] = inv[i]
+{add_y}
+        bar = -y{dim}
+        # the first row that prices in; rows before `start` price out
+        for q in range(start, k):
+            [{r}] = rows[q]
+            if {y_r} > bar:
                 break
         else:
             break
-        u = [sum(map(mul, row, r)) + row[dim] for row in inv]
+        start = 0
+        u = [{a_r} for [{a}] in inv]
         p = None
-        for i in range(m):
+        for i in range({m}):
             if u[i] <= 0:
                 continue
             if p is None:
@@ -173,29 +208,63 @@ def feasible_point(rows: Sequence[Sequence[int]], dim: int, budget: list[int],
         if p is None:
             raise RuntimeError("phase-one objective unbounded; sign error")
         piv, den = u[p], basis.den
-        prow, prhs = inv[p], rhs[p]
-        for i in range(m):
+        [{p}] = inv[p]
+        prhs = rhs[p]
+        for i in range({m}):
             if i == p:
                 continue
-            c, row = u[i], inv[i]
-            for j in range(m):
-                row[j], rem = divmod(row[j] * piv - c * prow[j], den)
-                if rem:
-                    raise RuntimeError("integer pivot lost exactness")
-            rhs[i], rem = divmod(rhs[i] * piv - c * prhs, den)
-            if rem:
+            c = u[i]
+            [{a}] = inv[i]
+{update}
+            t = rhs[i] * piv - c * prhs
+            if {remainders} or t % den:
                 raise RuntimeError("integer pivot lost exactness")
+            inv[i] = [{quotients}]
+            rhs[i] = t // den
         basis.den = piv
         ids[p] = q
-
-    if not any(rhs[i] for i in range(m) if ids[i] < 0):
+    basis.settled = k
+    if not any(rhs[i] for i in range({m}) if ids[i] < 0):
         return None  # Gordan certificate exists: the cone is empty
-    if y[dim] <= 0:
+    if y{dim} <= 0:
         raise RuntimeError("inconsistent phase-one dual")
-    x = [-v for v in y[:dim]]
-    if any(sum(map(mul, r, x)) <= 0 for r in rows):
-        raise RuntimeError("witness verification failed")
-    return primitive_scale(x)
+    # the witness is x = -y[:dim], and r . x > 0 is y[:dim] . r < 0
+    for [{r}] in rows:
+        if {y_r} >= 0:
+            raise RuntimeError("witness verification failed")
+    return primitive_scale([{minus_y}])
+
+
+def dot(r, x):
+    return {dot}
+"""
+
+_kernels: dict[int, tuple[Callable, Callable]] = {}
+
+
+def _kernel(dim: int) -> tuple[Callable, Callable]:
+    """(solve, dot) for `dim`, rendered on first use."""
+    return _kernels.get(dim) or _render(dim)
+
+
+def _render(dim: int) -> tuple[Callable, Callable]:
+    m = dim + 1
+
+    def seq(form: str, count: int, sep: str = ", ") -> str:
+        return sep.join(form.format(j) for j in range(count))
+
+    source = _TEMPLATE.format(
+        m=m, dim=dim, r=seq("r{}", dim), y=seq("y{}", m), a=seq("a{}", m), p=seq("p{}", m),
+        zeros=", ".join(["0"] * m), add_y=seq("                y{0} += a{0}", m, "\n"),
+        y_r=seq("y{0} * r{0}", dim, " + ") or "0",
+        a_r=seq("a{0} * r{0} + ", dim, "") + f"a{dim}",
+        update=seq("            t{0} = a{0} * piv - c * p{0}", m, "\n"),
+        remainders=seq("t{} % den", m, " or "), quotients=seq("t{} // den", m),
+        minus_y=seq("-y{}", dim), dot=seq("r[{0}] * x[{0}]", dim, " + ") or "0")
+    namespace = {"primitive_scale": primitive_scale}
+    exec(compile(source, f"<feasibility loop for dim {dim}>", "exec"), namespace)
+    _kernels[dim] = namespace["solve"], namespace["dot"]
+    return _kernels[dim]
 
 
 def _certificate_support(held: Sequence[Vec], basis: PhaseOneBasis, dim: int) -> list[int]:
@@ -219,7 +288,9 @@ def walk_sign_vectors(base_rows: Sequence[Vec], witness: Vec, rows: Sequence[Vec
     Yields (signs, x) for each s in {+1, -1}^len(rows) such that some x has
     b . x > 0 for every base row b and s_i * (rows[i] . x) > 0 for every i;
     x is such a point.  `witness` must satisfy the base rows strictly.  A
-    generator, so callers that only count leaves never hold them all.
+    generator, so callers that only count leaves never hold them all.  The
+    rows and the witness are checked at entry as `feasible_point` checks its
+    rows, and each node's sign test is the written-out dot product for dim.
 
     Each stack entry carries the basis of its nearest solved ancestor (the
     all-artificial basis above the first solve).  A child that keeps its
@@ -233,6 +304,12 @@ def walk_sign_vectors(base_rows: Sequence[Vec], witness: Vec, rows: Sequence[Vec
     mask `plus` of its +1 depths.
     """
     n, nbase = len(rows), len(base_rows)
+    _check_rows((*base_rows, *rows, witness), dim)
+    if rows:
+        # the root solves at least one child, charged this much: refuse
+        # before the loop for dim is rendered
+        charge(budget[:], _entries(nbase + 1, dim), "the linear programs need")
+        dot = _kernel(dim)[1]
     negated = [tuple(-a for a in row) for row in rows]
     refuted: dict[tuple[int, int], dict[int, set[int]]] = {}
     stack = [(0, tuple(base_rows), witness, PhaseOneBasis(dim))]

@@ -189,6 +189,20 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == f"error: {path} is nested too deeply to read as JSON\n"
 
+    @pytest.mark.parametrize("argv", [["count"], ["gen", "cone", "--base"]])
+    @pytest.mark.parametrize("content, why", [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"type": "projective",', "Expecting property name enclosed in double quotes"),
+        (b"\xd0\xcf\x11\xe0", "'utf-8' codec can't decode byte 0xd0"),
+    ], ids=["empty", "truncated", "binary"])
+    def test_file_that_is_not_json_is_named(self, capsys, tmp_path, argv, content, why):
+        path = tmp_path / "not.json"
+        path.write_bytes(content)
+        code = main([*argv, str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {path} is not JSON: {why}")
+
     @pytest.mark.parametrize("payload", [
         {"type": "projective", "d": 2},
         {"type": "projective", "d": 2, "covectors": "1 0 0"},
@@ -294,6 +308,22 @@ class TestDoor:
         self.refused(capsys, ["count", str(path)], "the construction check needs more than")
         self.refused(capsys, ["gen", "general-position", "-n", "400", "-d", "200"],
                      "the construction check needs more than")
+
+    @pytest.mark.parametrize("argv", [
+        ["general-position", "-n", "10000000", "-d", "2"],
+        ["double-pencil", "-a", "5000000", "-b", "5000000"],
+        ["near-pencil", "-n", "10000000"],
+        ["cone", "--extras", "10000000"],
+        ["two-extra", "-n", "10000000"],
+        ["toric-a", "-n", "1000000", "-d", "2"],
+        ["toric-b", "-n", "1000000", "-d", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_family_too_large_to_build(self, capsys, triangle_file, argv):
+        # charged n (d + 1) entries, 3 (a + b) for a double pencil, before it builds
+        if argv[0] == "cone":
+            argv = [*argv, "--base", triangle_file]
+        self.refused(capsys, ["gen", *argv],
+                     f"error: family {argv[0]!r} needs more than 800000 entries\n")
 
     @pytest.mark.parametrize("text", NOT_RATIONALS)
     def test_offsets_flag_outside_the_grammar(self, capsys, text):

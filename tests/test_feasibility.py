@@ -160,14 +160,82 @@ class TestBudget:
         assert state() != before
 
 
-def kernel_stream(seed=1209, count=400):
-    """Seeded systems in dim 2..4 with fresh, repeated, antiparallel, combined
-    and zero rows, each with a prefix length to warm-start from (0: cold)."""
+class TestRendering:
+    """The loop for a dim is rendered after the charge, once."""
+
+    def test_charge_comes_before_rendering(self, monkeypatch):
+        def fail(dim):
+            raise AssertionError(f"rendered dim {dim}")
+
+        monkeypatch.setattr(feasibility, "_kernels", {})
+        monkeypatch.setattr(feasibility, "_render", fail)
+        rows = [(1,) * 100, (-1,) + (0,) * 99]
+        with pytest.raises(TooLargeError, match="the linear programs need more than"):
+            feasible_point(rows, 100, [SWEEP_GUARD])
+        with pytest.raises(TooLargeError, match="the linear programs need more than"):
+            next(walk_sign_vectors(rows[:1], (1,) + (0,) * 99, rows[1:], 100, [SWEEP_GUARD]))
+
+    def test_each_dim_is_rendered_once(self, monkeypatch):
+        rendered = []
+        render = feasibility._render
+
+        def counting(dim):
+            rendered.append(dim)
+            return render(dim)
+
+        monkeypatch.setattr(feasibility, "_kernels", {})
+        monkeypatch.setattr(feasibility, "_render", counting)
+        for dim, rows, _ in kernel_stream(5, 40, (5, 6), (1, 9)):
+            feasible_point(rows, dim, [SWEEP_GUARD])
+        base = cube_rows(5)
+        assert len(list(walk_sign_vectors(base, (1, 1, 1, 1, 2), [(1, 1, 1, 1, -2)], 5,
+                                          [SWEEP_GUARD]))) == 2
+        assert sorted(rendered) == [5, 6]
+
+
+class TestSettled:
+    def test_a_solve_settles_its_rows_only_at_a_full_scan(self):
+        rows = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (-1, -1, 0)]
+        basis = PhaseOneBasis(3)
+        assert feasible_point(rows[:3], 3, [SWEEP_GUARD], basis) is not None
+        assert basis.settled == 3 and basis.copy().settled == 3
+        assert feasible_point(rows, 3, [SWEEP_GUARD], basis) is None
+        assert basis.settled == 0
+
+    def test_a_warm_scan_starts_at_the_settled_rows(self):
+        # a basis that claims (1, 0) and (-1, 0) settled, though it holds
+        # neither, skips pricing them; the cold solve finds them
+        # contradictory, and the warm one's witness check refuses its answer
+        rows = [(1, 0), (-1, 0)]
+        assert feasible_point(rows, 2, [SWEEP_GUARD]) is None
+        basis = PhaseOneBasis(2)
+        basis.settled = 2
+        with pytest.raises(RuntimeError, match="witness verification failed"):
+            feasible_point(rows, 2, [SWEEP_GUARD], basis)
+
+
+class TestWalkEntry:
+    @pytest.mark.parametrize("base, witness, rows", [
+        ([(1, 0, 0)], (1, 0, 0), [(0, 1)]),
+        ([(1, 0)], (1, 0), [(0, 1), (1, 1)]),
+        ([(1, 0, 0)], (1, 0), [(0, 1, 0)]),
+        ([(1, 0, 0)], (1, 0, 0), [(0, Fraction(1), 0)]),
+        ([(1, 0, 0.0)], (1, 0, 0), [(0, 1, 0)]),
+    ], ids=["short-row", "wrong-dim", "short-witness", "fraction", "float"])
+    def test_rows_are_checked_once_at_entry(self, base, witness, rows):
+        with pytest.raises(ValueError):
+            next(walk_sign_vectors(base, witness, rows, 3, [SWEEP_GUARD]))
+
+
+def kernel_stream(seed=1209, count=400, dims=(2, 4), lengths=(1, 6)):
+    """Seeded systems in dims[0]..dims[1] with fresh, repeated, antiparallel,
+    combined and zero rows, lengths[0]..lengths[1] of them, each with a prefix
+    length to warm-start from (0: cold)."""
     rng = random.Random(seed)
     for _ in range(count):
-        dim = rng.randint(2, 4)
+        dim = rng.randint(*dims)
         rows = []
-        for _ in range(rng.randint(1, 6)):
+        for _ in range(rng.randint(*lengths)):
             kind = (rng.choice(("fresh", "fresh", "fresh", "repeat", "flip", "sum", "sum",
                                 "fresh", "zero")) if rows else "fresh")
             if kind == "fresh":
@@ -192,18 +260,32 @@ def kernel_stream(seed=1209, count=400):
 # leaves the digest as it is.
 KERNEL_DIGEST = "37f2921a255e9b7be514d6c2021542199ad272e6fc0b557a9e9b3e7717aca273"
 
+# The same over a stream in dims 5..7 with 1..9 rows: the oracle on RP^4 and
+# the cube engine on T^4 solve in dim 5.  Taken from the generic kernel, which
+# summed each dot product with sum(map(mul, ...)), before the loop was
+# written out per dimension.
+WIDE_KERNEL_DIGEST = "cf899eac74c36819b03f730dfe06a111c5fc92122c56d5656dfab81178b2e389"
 
-def test_kernel_pivots_are_pinned():
+
+def stream_digest(stream):
     digest = hashlib.sha256()
     outcomes = {True: 0, False: 0}
-    for dim, rows, cut in kernel_stream():
+    for dim, rows, cut in stream:
         basis = PhaseOneBasis(dim)
         for part in ((rows[:cut],) if cut else ()) + (rows,):
             x = feasible_point(part, dim, [SWEEP_GUARD], basis)
             digest.update(repr((x, basis.ids, basis.inv, basis.rhs, basis.den)).encode())
         outcomes[x is None] += 1
-    assert outcomes == {True: 201, False: 199}
-    assert digest.hexdigest() == KERNEL_DIGEST
+    return digest.hexdigest(), outcomes
+
+
+def test_kernel_pivots_are_pinned():
+    assert stream_digest(kernel_stream()) == (KERNEL_DIGEST, {True: 201, False: 199})
+
+
+def test_wide_kernel_pivots_are_pinned():
+    assert stream_digest(kernel_stream(3476, 300, (5, 7), (1, 9))) == (
+        WIDE_KERNEL_DIGEST, {True: 190, False: 110})
 
 
 def test_randomized_dim4_witnesses_verify():

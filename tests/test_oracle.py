@@ -122,7 +122,7 @@ class TestCountRegionsOracle:
             count_regions_oracle(arr)
 
     def test_counts_by_work_not_by_n(self):
-        # 40 lines in general position take about 0.2 s, 24 planes of RP^5
+        # 40 lines in general position take about 0.1 s, 24 planes of RP^5
         # far more than the budget covers
         arr = general_position(40, 2)
         assert count_regions_oracle(arr) == count_regions_projective(arr) == 781
