@@ -51,16 +51,24 @@ class Manifold:
     kind is one of sphere, projective_space, torus, orientable_surface,
     klein_bottle.  Coefficients are Z_2 whenever the manifold or its
     codimension-one submanifolds can be non-orientable (projective spaces,
-    the Klein bottle), and Z otherwise.
+    the Klein bottle), and Z otherwise.  A dimension below 1 is refused.
     """
 
     kind: str
     dim: int
     genus: int = 0
 
+    def __post_init__(self):
+        _check_dimension(self.dim)
+
     @property
     def coefficient_group(self) -> str:
         return "Z2" if self.kind in ("projective_space", "klein_bottle") else "Z"
+
+
+def _check_dimension(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"need dimension d >= 1, got d = {d}")
 
 
 def sphere(d: int) -> Manifold:
@@ -111,6 +119,7 @@ def bound_homological(k: int, m: Manifold) -> BoundValue:
 
 def bound_multiplicity_sum(n: int, d: int, m: int) -> BoundValue:
     """f >= (m-d+1) * sum_j C(n, d-2j) / C(m-2j, d-2j), j = 0..floor(d/2)."""
+    _check_dimension(d)
     if not d <= m <= n:
         raise ValueError("need d <= m <= n")
     total = Fraction(0)
@@ -133,6 +142,7 @@ def bound_multiplicity_product(n: int, d: int, m: int) -> BoundValue:
 
 def bound_mcmullen(n: int, d: int) -> BoundValue:
     """McMullen's bound (via Shannon): f >= (n-d+1) 2^(d-1)."""
+    _check_dimension(d)
     if n < d + 1:
         raise ValueError("need n >= d+1")
     return BoundValue(Fraction((n - d + 1) * 2 ** (d - 1)))
@@ -140,6 +150,7 @@ def bound_mcmullen(n: int, d: int) -> BoundValue:
 
 def bound_quadratic(n: int, d: int, m: int) -> BoundValue:
     """f >= 2 (n^2 - n) / (m - d + 5)."""
+    _check_dimension(d)
     if m < d:
         raise ValueError("need m >= d")
     return BoundValue(Fraction(2 * (n * n - n), m - d + 5))

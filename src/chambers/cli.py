@@ -207,6 +207,9 @@ def _build_from_args(args):
 def _family_entries(args, base: ProjArrangement | None) -> int:
     """The integer entries the family writes, d + 1 per hyperplane or subtorus.
 
+    A cone's extras past the first are each placed clear of every crossing
+    of the lines placed so far, so an extra placed among k lines is charged
+    C(k, 2) more: C(n + E - 1, 3) - C(n, 3) over E extras on n base lines.
     Flags are taken by absolute value: a negative one is refused by its
     family, after this charge.
     """
@@ -214,7 +217,8 @@ def _family_entries(args, base: ProjArrangement | None) -> int:
     if family == "double-pencil":
         return 3 * (abs(args.a) + abs(args.b))
     if family == "cone":
-        return (base.n + abs(args.extras or 1)) * (base.d + 2)
+        n, extras = base.n, abs(args.extras or 1)
+        return (n + extras) * (base.d + 2) + math.comb(n + extras - 1, 3) - math.comb(n, 3)
     if family == "two-extra":  # the base, its apex plane and two more, in RP^3
         return 4 * ((abs(args.n) - 2 if base is None else base.n) + 3)
     d = 2 if family == "near-pencil" else abs(args.d)

@@ -83,11 +83,11 @@ class TooLargeError(ValueError):
 # The one work budget of all four exact engines, charged before the work: the
 # RP^d and T^d sweeps charge each restriction's integer entries, the oracle
 # and the cube engine each program's.  On a shared 2-CPU Linux machine
-# (Python 3.11) the RP^d sweep made 1.7 (GP(25, 10)) to 2.6 M entries/s, the
-# T^d sweep 2.5 to 6.5 M/s, the oracle 2.5 (GP(40, 2)) to 6.7 M/s (GP(10, 5))
-# and the cube engine 9.6 (b(40, 3, 9)) to 17 M/s (b(30, 6, 4)), so this is
-# at most about 0.5 s of work; the costliest first-four witness, at
-# (d, n) = (10, 25), charges 485,373 entries.
+# (Python 3.11) the RP^d sweep made 2.1 (GP(25, 10)) to 10 M entries/s
+# (GP(40, 3)), the T^d sweep 2.5 to 6.5 M/s, the oracle 2.5 (GP(40, 2)) to
+# 6.7 M/s (GP(10, 5)) and the cube engine 9.6 (b(40, 3, 9)) to 17 M/s
+# (b(30, 6, 4)), so this is at most about 0.5 s of work; the costliest
+# first-four witness, at (d, n) = (10, 25), charges 485,373 entries.
 SWEEP_GUARD = 800_000
 
 

@@ -13,14 +13,21 @@ central count.  m, the largest number of hyperplanes through one point,
 comes from a second walk over the same traces, a branch and bound that
 stops once no remaining hyperplane can carry a heavier line than the
 heaviest found.  Both restrict to a hyperplane u with no elimination: in
-the basis u[p] e_c - u[c] e_p of {u . x = 0} (c != p, u[p] the first
+the basis u[p] e_c - u[c] e_p of H = {u . x = 0} (c != p, u[p] the first
 nonzero entry of u) the trace of v is its vector of 2x2 minors
-u[p] v[c] - u[c] v[p], and in R^3 it is the point cross(u, v); `_traces`
-alone makes them, charging their len(rows) * len(u) entries to
-`feasibility.SWEEP_GUARD` first, as the toric sweep does: a walk is refused
-by the work it does, not by the general-position worst case.  Its arithmetic
-is written out for the two levels that every walk from RP^3 and up passes
-through, R^4 (three minors per row) and R^3 (the cross product).
+u[p] v[c] - u[c] v[p].  In R^3 the two minors key the line that v cuts out
+of H, a point of P^1.  Each restriction charges its len(rows) * len(u)
+entries to `feasibility.SWEEP_GUARD` before its first trace, as the toric
+sweep does: a walk is refused by the work it does, not by the
+general-position worst case.  The levels that every walk from RP^3 and up
+passes through are written out as loops with no call per restriction: the
+sweep's R^4 (three minors per row) and R^3, and the m walk's R^3; `_traces`
+makes the traces of every other level.  Counting and finding m for the 409
+RP^d arrangements of the acceptance battery took a median 0.69 s this way
+against 0.73 s with `_traces` at every level (fastest of three, eight
+alternating rounds, 2-CPU Linux host, Python 3.11).  0.56 s of that is the
+battery's four RP^8 and four RP^10 witnesses, which spend most of their
+time above R^4.
 
 The intersection poset is the independent reference the tests compare the
 sweep with, through its characteristic polynomial and Zaslavsky's theorem.
@@ -248,33 +255,17 @@ def _traces(u: Vec, rows: Sequence[Vec], budget: list[int]) -> list[Vec]:
     """The primitive trace of each of `rows` on H = {u . x = 0}, in order.
 
     In the basis u[p] e_c - u[c] e_p of H (c != p, p the pivot of u) the
-    trace of V is the vector of 2x2 minors u[p] V[c] - u[c] V[p].  In R^3
-    the trace is the point cross(H, V) of H instead.  Each trace is divided
-    by its gcd, nonzero because no row is a multiple of u, and its first
-    nonzero entry made positive, so equal traces are equal tuples.  The
-    arithmetic is written out for R^4 and R^3 because both walks make nearly
-    all their traces there: counting and finding m for the 396 RP^d
-    arrangements of the acceptance battery took 0.85-0.91 s this way,
-    0.90-1.04 s with R^3 alone written out and 1.03-1.22 s with
-    `primitive_normalize` on the same minors (fastest of three, five
-    alternating rounds, 2-CPU Linux host; the battery's RP^8 and RP^10
-    witnesses, which spend most of their time above R^4, are among them).
-    `budget[0]` is what the walk may still spend; the len(rows) * len(u)
-    entries of the minors are charged before any is computed.
+    trace of V is the vector of 2x2 minors u[p] V[c] - u[c] V[p].  Each
+    trace is divided by its gcd, nonzero because no row is a multiple of u,
+    and its first nonzero entry made positive, so equal traces are equal
+    tuples.  The arithmetic is written out for R^4, where the m walk makes
+    its three-minor traces; the sweep writes its R^4 and R^3 levels out
+    itself, and the m walk its R^3 level.  `budget[0]` is what the walk may
+    still spend; the len(rows) * len(u) entries of the minors are charged
+    before any is computed.
     """
     charge(budget, len(rows) * len(u), "the sweep needs")
     out = []
-    if len(u) == 3:
-        u0, u1, u2 = u
-        for v0, v1, v2 in rows:
-            x = u1 * v2 - u2 * v1
-            y = u2 * v0 - u0 * v2
-            z = u0 * v1 - u1 * v0
-            g = gcd(x, y, z)
-            if x < 0 or not x and (y < 0 or not y and z < 0):
-                g = -g
-            out.append((x // g, y // g, z // g))
-        return out
     p = next(c for c, x in enumerate(u) if x)
     if len(u) == 4:
         a, b, c = [k for k in range(4) if k != p]
@@ -309,18 +300,54 @@ def _sweep(rows: Sequence[Vec], ambient: int, budget: list[int]) -> int:
 
     Adding a hyperplane H adds the central regions that the distinct traces
     of the earlier hyperplanes cut H into.  In R^2, j lines cut 2j regions,
-    and in R^3 the traces are points of H, j of which cut it into 2j.  The
-    R^2 case is reached only from RP^1 inputs.
+    and in R^3 the traces are lines of H, j of which cut it into 2j.  The
+    R^2 case is reached only from RP^1 inputs.  R^4 and R^3, which every
+    sweep from RP^3 and up passes through, are written out as loops with no
+    call per restriction: R^4 makes the three minors of `_traces`, and R^3
+    keys each earlier row by its two minors, the line it cuts out of H.
+    Each restriction charges len(u) entries per earlier row before its first
+    trace, as `_traces` does.
     """
     if ambient == 2:
         return 2 * len(rows) or 1
     regions = 1
+    if ambient == 3:
+        for i, u in enumerate(rows):
+            charge(budget, 3 * i, "the sweep needs")
+            p, a, b = (0, 1, 2) if u[0] else (1, 0, 2) if u[1] else (2, 0, 1)
+            up, ua, ub = u[p], u[a], u[b]
+            lines = set()
+            for v in rows[:i]:
+                vp = v[p]
+                x = up * v[a] - ua * vp
+                y = up * v[b] - ub * vp
+                g = gcd(x, y)
+                if x < 0 or not x and y < 0:
+                    g = -g
+                lines.add((x // g, y // g))
+            regions += 2 * len(lines) or 1
+        return regions
+    if ambient == 4:
+        for i, u in enumerate(rows):
+            charge(budget, 4 * i, "the sweep needs")
+            p, a, b, c = ((0, 1, 2, 3) if u[0] else (1, 0, 2, 3) if u[1] else
+                          (2, 0, 1, 3) if u[2] else (3, 0, 1, 2))
+            up, ua, ub, uc = u[p], u[a], u[b], u[c]
+            traces = {}  # a dict, not a set: keep the traces in the order they were made
+            for v in rows[:i]:
+                vp = v[p]
+                x = up * v[a] - ua * vp
+                y = up * v[b] - ub * vp
+                z = up * v[c] - uc * vp
+                g = gcd(x, y, z)
+                if x < 0 or not x and (y < 0 or not y and z < 0):
+                    g = -g
+                traces[x // g, y // g, z // g] = None
+            regions += _sweep(list(traces), 3, budget)
+        return regions
     for i, u in enumerate(rows):
-        if ambient == 3:
-            regions += 2 * len(set(_traces(u, rows[:i], budget))) or 1
-        else:  # dict, not set: keep the traces in the order they were made
-            traces = list(dict.fromkeys(_traces(u, rows[:i], budget)))
-            regions += _sweep(traces, ambient - 1, budget)
+        traces = list(dict.fromkeys(_traces(u, rows[:i], budget)))
+        regions += _sweep(traces, ambient - 1, budget)
     return regions
 
 
@@ -337,8 +364,10 @@ def _heaviest(rows: Sequence[Vec], weights: Sequence[int], ambient: int,
     rows[i] carries more than the weight of rows[:i + 1], so the walk goes
     from the last row to the first, stops once that prefix weight cannot
     beat the best found, and asks each restriction only to beat the best
-    less weights[i].  In R^2 the lines are the rows themselves; that case is
-    reached only from RP^1 inputs.
+    less weights[i].  In R^3 the traces are lines of rows[i], keyed as in
+    `_sweep`, and the heaviest of them is the most weight on a line of
+    rows[i], with no further walk.  In R^2 the lines are the rows
+    themselves; that case is reached only from RP^1 inputs.
     """
     if ambient == 2:
         return max(weights, default=0)
@@ -350,11 +379,24 @@ def _heaviest(rows: Sequence[Vec], weights: Sequence[int], ambient: int,
         w = weights[i]
         prefix -= w
         merged: dict[Vec, int] = {}
-        for t, wt in zip(_traces(rows[i], rows[:i], budget), weights):
-            merged[t] = merged.get(t, 0) + wt
-        if ambient == 3:  # the traces are points of rows[i], each its own line
+        if ambient == 3:
+            u = rows[i]
+            charge(budget, 3 * i, "the sweep needs")
+            p, a, b = (0, 1, 2) if u[0] else (1, 0, 2) if u[1] else (2, 0, 1)
+            up, ua, ub = u[p], u[a], u[b]
+            for v, wt in zip(rows[:i], weights):
+                vp = v[p]
+                x = up * v[a] - ua * vp
+                y = up * v[b] - ub * vp
+                g = gcd(x, y)
+                if x < 0 or not x and y < 0:
+                    g = -g
+                line = (x // g, y // g)
+                merged[line] = merged.get(line, 0) + wt
             through = max(merged.values(), default=0)
         else:
+            for t, wt in zip(_traces(rows[i], rows[:i], budget), weights):
+                merged[t] = merged.get(t, 0) + wt
             through = _heaviest(list(merged), list(merged.values()), ambient - 1, best - w,
                                 budget)
         if w + through > best:

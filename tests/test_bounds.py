@@ -22,6 +22,17 @@ class TestHomologyTable:
         assert bd.klein_bottle().coefficient_group == "Z2"
         assert bd.torus(3).coefficient_group == "Z"
 
+    @pytest.mark.parametrize("make", [
+        bd.sphere, bd.projective_space, bd.torus,
+        lambda d: bd.bound_mcmullen(5, d),
+        lambda d: bd.bound_multiplicity_sum(5, d, 3),
+        lambda d: bd.bound_quadratic(5, d, 3),
+    ])
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_dimension_below_one_is_refused(self, make, d):
+        with pytest.raises(ValueError, match=f"got d = {d}$"):
+            make(d)
+
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             bd.codim1_homology_dim(bd.Manifold("lens_space", 3))

@@ -325,6 +325,12 @@ class TestDoor:
         self.refused(capsys, ["gen", *argv],
                      f"error: family {argv[0]!r} needs more than 800000 entries\n")
 
+    def test_cone_extras_are_charged_for_their_placements(self, capsys, triangle_file):
+        # each extra past the first is placed clear of every crossing so far, so
+        # 2000 extras over a triangle check C(2002, 3) - 1 crossings, not 8012 entries
+        self.refused(capsys, ["gen", "cone", "--base", triangle_file, "--extras", "2000"],
+                     "error: family 'cone' needs more than 800000 entries\n")
+
     @pytest.mark.parametrize("text", NOT_RATIONALS)
     def test_offsets_flag_outside_the_grammar(self, capsys, text):
         self.refused(capsys, ["gen", "toric-b", "-n", "4", "-d", "2", "-k", "1",
@@ -371,6 +377,13 @@ class TestBounds:
         assert rows["multiplicity_sum"]["value"] == "121/2"
         assert rows["multiplicity_sum"]["ceil"] == 61
         assert rows["mcmullen"]["ceil"] == 36
+
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    def test_dimension_below_one_is_refused(self, capsys, d):
+        code = main(["bounds", "-n", "5", "-d", d])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: need dimension d >= 1, got d = {d}\n")
 
 
 class TestSpectrum:

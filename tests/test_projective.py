@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from chambers import generators as gn
 from chambers import projective as pj
-from chambers.exactlin import primitive_normalize
-from chambers.feasibility import SWEEP_GUARD, TooLargeError
+from chambers.exactlin import primitive_normalize, rank
+from chambers.feasibility import SWEEP_GUARD, TooLargeError, charge
 from chambers.oracle import count_regions_oracle
 from chambers.projective import (
     ProjArrangement,
@@ -54,6 +54,16 @@ def whitney_charpoly(arr):
             rows = [arr.covectors[i] for i in subset]
             coeffs[ambient - naive_rank(rows)] += (-1) ** k
     return tuple(coeffs)
+
+
+def subset_regions(arr):
+    """f = 1/2 sum over all subsets B of the covectors of (-1)^(|B| - rank B), by
+    Whitney's and Zaslavsky's theorems: no restriction and no flat is made."""
+    total = 0
+    for k in range(arr.n + 1):
+        for subset in itertools.combinations(arr.covectors, k):
+            total += (-1) ** (k - rank(subset))
+    return total // 2
 
 
 TRIANGLE = ProjArrangement(2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -286,6 +296,18 @@ class TestSweepAgainstReferences:
     def test_degenerate_restrictions(self, arr, f, m):
         assert self.check(arr) == (f, m)
 
+    def test_against_the_subset_sum(self):
+        arrs = random_arrangements(40, seed=7, dims=(2, 3, 4, 5), max_n=10)
+        arrs += [gn.near_pencil(n) for n in range(3, 11)]
+        arrs += [gn.double_pencil(a, b, common) for a, b in ((2, 5), (3, 4), (4, 5), (3, 7))
+                 for common in (True, False)]
+        arrs += [gn.cone(gn.near_pencil(n)) for n in range(3, 10)]
+        arrs += [gn.cone(gn.double_pencil(3, 4, True)), gn.cone(gn.near_pencil(5), extras=2),
+                 gn.cone(gn.cone(gn.near_pencil(4)))]
+        for arr in arrs:
+            assert arr.n <= 10
+            assert count_regions_projective(arr) == subset_regions(arr), arr
+
     @given(valid_arrangements(max_d=5, bound=40))
     @settings(deadline=None, max_examples=60)
     def test_wide_entries_up_to_rp5(self, arr):
@@ -304,7 +326,7 @@ class TestSweepAgainstReferences:
 
 
 class TestHyperplaneBasis:
-    @given(st.integers(4, 7).flatmap(lambda a: st.tuples(
+    @given(st.integers(3, 7).flatmap(lambda a: st.tuples(
         st.integers(0, a - 1), st.integers(-40, 40).filter(bool),
         st.lists(st.integers(-40, 40), min_size=a, max_size=a),
         st.lists(st.lists(st.integers(-40, 40), min_size=a, max_size=a), max_size=6))))
@@ -315,35 +337,70 @@ class TestHyperplaneBasis:
         u = tuple([0] * p + [pivot] + entries[p + 1:])
         ambient = len(u)
         key_u = primitive_normalize(u)
-        rows = {}
+        rows = {}  # weights are powers of two, so a sum of them names its rows
         for v in others:
             if any(v) and primitive_normalize(v) != key_u:
-                rows[primitive_normalize(v)] = 1 + len(rows)
+                rows.setdefault(primitive_normalize(v), 2 ** len(rows))
         # H = {u . x = 0} is spanned by the kernel of u, taken here column by
         # column: x = u[p] e_c - u[c] e_p for each c != p
         basis = [tuple(pivot if j == c else -u[c] if j == p else 0 for j in range(ambient))
                  for c in range(ambient) if c != p]
         assert all(sum(a * b for a, b in zip(u, x)) == 0 for x in basis)
         assert naive_rank(basis) == ambient - 1
-        explicit = [primitive_normalize([sum(a * b for a, b in zip(v, x)) for x in basis])
-                    for v in rows]
-        assert pj._traces(u, list(rows), [SWEEP_GUARD]) == explicit
+        minors = [tuple(sum(a * b for a, b in zip(v, x)) for x in basis) for v in rows]
+        explicit = [primitive_normalize(t) for t in minors]
         want = {}
         for t, w in zip(explicit, rows.values()):
             want[t] = want.get(t, 0) + w
+        heavy = 2 ** len(rows)  # more than all of rows together
 
-        seen = []
-        heaviest = pj._heaviest
+        # both walks take the minors of each row on H, in order, right after
+        # charging for them: the sweep restricts onto H last, the m walk first
+        sweeps, weighed, events = [], [], []
+        sweep, heaviest = pj._sweep, pj._heaviest
 
-        def record(traces, weights, amb, beat, budget):
-            seen.append((amb, dict(zip(traces, weights))))
+        def spied_sweep(traces, amb, budget):
+            sweeps.append((amb, list(traces)))
+            return sweep(traces, amb, budget)
+
+        def spied_heaviest(traces, weights, amb, beat, budget):
+            weighed.append((amb, dict(zip(traces, weights))))
             return heaviest(traces, weights, amb, beat, budget)
 
+        def spied_charge(budget, entries, what):
+            events.append(entries)
+            charge(budget, entries, what)
+
+        def spied_gcd(*args):
+            events.append(args)
+            return gcd(*args)
+
+        got = []
+        for walk in (lambda: sweep(list(rows) + [u], ambient, [SWEEP_GUARD]),
+                     lambda: heaviest(list(rows) + [u], list(rows.values()) + [heavy],
+                                      ambient, 0, [SWEEP_GUARD])):
+            events.clear()
+            with patch.object(pj, "charge", spied_charge), patch.object(pj, "gcd", spied_gcd):
+                got.append(walk())
+            # no other restriction is charged len(rows) * ambient entries
+            at = events.index(len(rows) * ambient) + 1
+            assert events[at:at + len(rows)] == minors
+        if ambient == 3:  # the traces are lines of H, keyed by their minors
+            central, m = got
+            assert central == sweep(list(rows), 3, [SWEEP_GUARD]) + (2 * len(want) or 1)
+            # H weighs more than the rest, so the m walk stops after it
+            assert m == heavy + max(want.values(), default=0)
+            return
+        assert pj._traces(u, list(rows), [SWEEP_GUARD]) == explicit
+        with patch.object(pj, "_sweep", spied_sweep):
+            sweep(list(rows) + [u], ambient, [SWEEP_GUARD])
+        # the sweep's last restriction at ambient - 1 is onto H
+        assert [t for amb, t in sweeps if amb == ambient - 1][-1] == list(want)
         rows[u] = 1
-        with patch.object(pj, "_heaviest", record):
+        with patch.object(pj, "_heaviest", spied_heaviest):
             heaviest(list(rows), list(rows.values()), ambient, 0, [SWEEP_GUARD])
         # the m walk restricts first onto H, the last row
-        assert seen[0] == (ambient - 1, want)
+        assert weighed[0] == (ambient - 1, want)
 
     def test_equal_minor_traces_merge_their_weights(self):
         # (1, 0, 0, 0) and (1, 0, 0, 1) leave the trace (1, 0, 0) on the last
@@ -410,31 +467,47 @@ class TestHeaviestLine:
 class TestGuard:
     @pytest.mark.parametrize("walk", [count_regions_projective, max_point_multiplicity])
     def test_guard_refuses_before_making_traces(self, monkeypatch, walk):
-        # every trace takes one gcd, so the restriction the guard refuses
-        # must take none, and it is the first whose charge overspends
+        # a restriction charges len(u) entries per row and then takes one gcd of
+        # each row's len(u) - 1 minors, so the gcds between two charges must be
+        # paid for by the first of them; the charge that overspends is the
+        # first that takes none, and the last
         arr = gn.general_position(8, 3)
-        made, charged = [], []
-        traces = pj._traces
+        restrictions = []  # (entries charged, minors of each gcd after the charge)
+
+        def spied_charge(budget, entries, what):
+            restrictions.append((entries, []))
+            charge(budget, entries, what)
 
         def counted_gcd(*args):
-            made.append(args)
+            assert restrictions, "a trace was made before any charge"
+            restrictions[-1][1].append(len(args))
             return gcd(*args)
 
-        def spied(u, rows, budget):
-            charged.append(len(rows) * len(u))
-            before = len(made)
-            try:
-                return traces(u, rows, budget)
-            except TooLargeError:
-                assert len(made) == before, "a trace was made before the guard refused"
-                raise
-
         monkeypatch.setattr(pj, "SWEEP_GUARD", 100)
+        monkeypatch.setattr(pj, "charge", spied_charge)
         monkeypatch.setattr(pj, "gcd", counted_gcd)
-        monkeypatch.setattr(pj, "_traces", spied)
         with pytest.raises(TooLargeError):
             walk(arr)
+        *paid, (_, after) = restrictions
+        assert after == [], "a trace was made after the guard refused"
+        for entries, minors in paid:
+            assert sum(k + 1 for k in minors) == entries, "a trace was made before its charge"
+        charged = [entries for entries, _ in restrictions]
         assert sum(charged[:-1]) <= 100 < sum(charged)
+
+    @pytest.mark.parametrize("n, d, sweep, heaviest", [
+        (22, 3, 5544, 5472), (13, 4, 3679, 3360), (10, 5, 2466, 1758), (80, 2, 9480, 9477),
+    ])
+    def test_charges_are_pinned(self, n, d, sweep, heaviest):
+        # the entries both walks charge on general-position inputs, pinned from
+        # the walks that restricted through `_traces` at every level
+        covs = gn.general_position(n, d).covectors
+        budget = [SWEEP_GUARD]
+        pj._sweep(covs, d + 1, budget)
+        assert SWEEP_GUARD - budget[0] == sweep
+        budget = [SWEEP_GUARD]
+        pj._heaviest(covs, (1,) * n, d + 1, 0, budget)
+        assert SWEEP_GUARD - budget[0] == heaviest
 
 
 class TestJson:
